@@ -1,10 +1,14 @@
 // Microbenchmarks of the geometric kernels underneath LAACAD: minimum
 // enclosing circle (Welzl), half-plane clipping, order-k cell construction,
-// dominating-region BFS, and the adaptive Lemma-1 solver. These are classic
+// dominating-region BFS, the adaptive Lemma-1 solver, and the JsonWriter
+// serialize path the serving daemon runs per response. These are classic
 // google-benchmark cases (multiple timed iterations), unlike the one-shot
 // experiment benches.
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+
+#include "common/json_writer.hpp"
 #include "common/perf_counters.hpp"
 #include "common/rng.hpp"
 #include "geometry/welzl.hpp"
@@ -217,6 +221,58 @@ void BM_GridWithin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridWithin);
+
+// ------------------------------------------------------------ JsonWriter --
+// The serving daemon's serialize phase. One iteration of BM_JsonNumber is
+// one double (time per iteration = ns per double); one iteration of
+// BM_JsonKnnResponse is one knn-shaped response: header plus k = 3 nodes of
+// id and four doubles (x, y, range, dist), written compact as the protocol
+// does.
+
+void BM_JsonNumber(benchmark::State& state) {
+  Rng rng(8);
+  std::vector<double> values(4096);
+  for (double& v : values) v = rng.uniform(0, 1000);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JsonWriter::number_to_string(values[i]));
+    i = (i + 1) % values.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JsonNumber);
+
+void BM_JsonKnnResponse(benchmark::State& state) {
+  const auto pts = random_points(64, 9, 1000.0);
+  Rng rng(10);
+  std::vector<double> ranges(pts.size()), dists(pts.size());
+  for (std::size_t j = 0; j < pts.size(); ++j) {
+    ranges[j] = rng.uniform(20, 120);
+    dists[j] = rng.uniform(0, 300);
+  }
+  std::size_t at = 0;
+  std::ostringstream out;  // reused per response, as serve/protocol.cpp does
+  for (auto _ : state) {
+    out.str("");
+    JsonWriter w(out, /*indent=*/0);
+    w.begin_object();
+    w.kv("ok", true).kv("epoch", std::int64_t{41}).kv("round", 1234);
+    w.kv("k", 3);
+    w.key("nodes").begin_array();
+    for (int n = 0; n < 3; ++n, at = (at + 1) % pts.size()) {
+      w.begin_object();
+      w.kv("id", static_cast<int>(at));
+      w.kv("x", pts[at].x).kv("y", pts[at].y);
+      w.kv("range", ranges[at]).kv("dist", dists[at]);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    benchmark::DoNotOptimize(out.str());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JsonKnnResponse);
 
 }  // namespace
 

@@ -6,7 +6,11 @@
 namespace laacad::flatjson {
 
 std::size_t value_offset(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  // Built by appends: GCC 12's -Wrestrict misfires on `"\"" + std::string`
+  // under the sanitizer preset's -Werror.
+  std::string needle;
+  needle.reserve(key.size() + 3);
+  needle.append(1, '"').append(key).append("\":");
   bool in_string = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];

@@ -56,7 +56,11 @@ class JsonWriter {
 
   /// Shortest decimal representation of `v` that parses back to exactly the
   /// same double ("1.5" rather than "1.5000000000000000"); NaN/Inf yield
-  /// "null". Exposed for tests and for callers formatting outside a writer.
+  /// "null". The bytes are those of `%.{P}g` at the smallest round-tripping
+  /// precision P (integral values below 9e15 as integers, -0.0 as "0"),
+  /// pinned against that printf search by tests/test_json_writer.cpp.
+  /// value(double) writes the same bytes without allocating. Exposed for
+  /// tests and for callers formatting outside a writer.
   static std::string number_to_string(double v);
 
  private:
@@ -64,6 +68,7 @@ class JsonWriter {
 
   void before_value();  ///< comma/newline/indent bookkeeping, key check
   void newline_indent();
+  void write_string(std::string_view s);  ///< quoted, escaped only if needed
 
   std::ostream& out_;
   int indent_;

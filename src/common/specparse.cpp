@@ -1,5 +1,8 @@
 #include "common/specparse.hpp"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,14 +24,17 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 double parse_double(const std::string& s, int line, const std::string& key) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
+  // strtod, not std::stod: stod throws on any ERANGE, which glibc also
+  // raises for a subnormal result — yet subnormals are exact doubles that
+  // JsonWriter::number_to_string prints, and every printed value must parse
+  // back. Only overflow and underflow to zero stay errors.
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  const bool out_of_range = errno == ERANGE && (v == 0.0 || std::isinf(v));
+  if (end == s.c_str() || end != s.c_str() + s.size() || out_of_range)
     fail(line, "'" + key + "' expects a number, got '" + s + "'");
-  }
+  return v;
 }
 
 int parse_int(const std::string& s, int line, const std::string& key) {

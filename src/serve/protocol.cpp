@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <sstream>
 
@@ -21,8 +22,19 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
+/// The calling thread's response stream, emptied. Reused rather than built
+/// per response: str("") keeps the buffer's capacity, so after warm-up a
+/// response costs no stream construction and no buffer growth, only the
+/// copy out through str(). Handlers take it once, after their last early
+/// return, and never hold it across another handler's call.
+std::ostringstream& response_stream() {
+  thread_local std::ostringstream out;
+  out.str("");
+  return out;
+}
+
 std::string error_response(const std::string& what) {
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   w.kv("ok", false);
@@ -81,14 +93,19 @@ std::string handle_knn(CoverageService& svc, const std::string& line,
       !std::isfinite(y))
     return error_response("knn needs finite numbers x and y");
   int k = 1;
-  if (flatjson::get_number(line, "k", &kd)) k = static_cast<int>(kd);
-  if (k < 1) return error_response("knn needs k >= 1");
+  if (flatjson::get_number(line, "k", &kd)) {
+    // Range-check before the cast: converting a double outside int's range
+    // (or NaN, which "k":null parses to) is undefined behaviour.
+    if (!(kd >= 1.0 && kd <= static_cast<double>(INT_MAX)))
+      return error_response("knn needs k in [1, 2147483647]");
+    k = static_cast<int>(kd);
+  }
 
   const auto snap = svc.snapshot();
   const auto nodes = snap->closest_nodes({x, y}, k);
 
   phase.serialize();
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   snapshot_header(w, *snap);
@@ -123,7 +140,7 @@ std::string handle_coverage(CoverageService& svc, const std::string& line,
   const bool in_domain = snap->domain().contains({x, y});
 
   phase.serialize();
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   snapshot_header(w, *snap);
@@ -139,7 +156,7 @@ std::string handle_load(CoverageService& svc, PhaseDurations* d) {
   const auto snap = svc.snapshot();
 
   phase.serialize();
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   snapshot_header(w, *snap);
@@ -164,7 +181,7 @@ std::string handle_stats(CoverageService& svc, PhaseDurations* d) {
   const obs::Histogram publish = svc.publish_histogram();
 
   phase.serialize();
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   w.kv("ok", true);
@@ -231,7 +248,7 @@ std::string handle_event(CoverageService& svc, const std::string& line,
     return error_response(e.what());
   }
   phase.serialize();
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   w.kv("ok", true);
@@ -245,7 +262,7 @@ std::string handle_drain(CoverageService& svc, PhaseDurations* d) {
   svc.drain();
   const auto snap = svc.snapshot();
   phase.serialize();
-  std::ostringstream out;
+  std::ostringstream& out = response_stream();
   JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   snapshot_header(w, *snap);
@@ -293,7 +310,7 @@ HandleResult handle_line(CoverageService& svc, const std::string& line,
     else if (op == "event") result.response = handle_event(svc, line, &d);
     else if (op == "drain") result.response = handle_drain(svc, &d);
     else if (op == "shutdown") {
-      std::ostringstream out;
+      std::ostringstream& out = response_stream();
       JsonWriter w(out, /*indent=*/0);
       w.begin_object();
       w.kv("ok", true);

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -76,35 +77,64 @@ namespace {
 /// requests in one TCP segment, each extracted line keeps the timestamp of
 /// the read that delivered its bytes — that is what makes the protocol
 /// layer's queue-wait phase measure real head-of-line blocking instead of
-/// always reading zero. Interrupted reads (EINTR) are retried.
-bool read_line(int fd, std::string* buffer, std::string* line,
-               std::chrono::steady_clock::time_point* arrival) {
-  for (;;) {
-    const auto nl = buffer->find('\n');
-    if (nl != std::string::npos) {
-      *line = buffer->substr(0, nl);
-      buffer->erase(0, nl + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buffer->append(chunk, static_cast<std::size_t>(n));
-    *arrival = std::chrono::steady_clock::now();
-  }
-}
+/// always reading zero. Interrupted reads (EINTR) are retried. Consumed
+/// lines only advance `start_`; the buffer is compacted once per read, not
+/// once per pipelined line.
+class LineReader {
+ public:
+  explicit LineReader(int fd) : fd_(fd) {}
 
-/// Loop until every byte is written: short writes (large stats/coverage
-/// responses against a small socket buffer) and EINTR are both resumed.
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+  bool next(std::string* line,
+            std::chrono::steady_clock::time_point* arrival) {
+    for (;;) {
+      const auto nl = buffer_.find('\n', start_);
+      if (nl != std::string::npos) {
+        line->assign(buffer_, start_, nl - start_);
+        start_ = nl + 1;
+        if (!line->empty() && line->back() == '\r') line->pop_back();
+        return true;
+      }
+      buffer_.erase(0, start_);
+      start_ = 0;
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+      *arrival = std::chrono::steady_clock::now();
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buffer_;
+  std::size_t start_ = 0;  ///< first unconsumed byte of buffer_
+};
+
+/// Writes `response` and its terminating newline with one gathering write
+/// per attempt, so the response is never copied to append the '\n'. Short
+/// writes (large stats/coverage responses against a small socket buffer)
+/// and EINTR are both resumed.
+bool write_line(int fd, const std::string& response) {
+  char newline = '\n';
+  iovec iov[2] = {{const_cast<char*>(response.data()), response.size()},
+                  {&newline, 1}};
+  iovec* pending = iov;
+  int count = 2;
+  while (count > 0) {
+    const ssize_t n = ::writev(fd, pending, count);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (count > 0 && left >= pending->iov_len) {
+      left -= pending->iov_len;
+      ++pending;
+      --count;
+    }
+    if (count > 0) {
+      pending->iov_base = static_cast<char*>(pending->iov_base) + left;
+      pending->iov_len -= left;
+    }
   }
   return true;
 }
@@ -139,13 +169,14 @@ int TcpServer::serve() {
       // load generator measures).
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      std::string buffer, line;
+      LineReader reader(fd);
+      std::string line;
       auto arrival = std::chrono::steady_clock::now();
-      while (read_line(fd, &buffer, &line, &arrival)) {
+      while (reader.next(&line, &arrival)) {
         if (line.empty()) continue;
         const HandleResult result = handle_line(svc_, line, arrival);
         handled.fetch_add(1);
-        if (!write_all(fd, result.response + "\n")) break;
+        if (!write_line(fd, result.response)) break;
         if (result.action == HandleAction::kShutdown) {
           shutting_down.store(true);
           std::lock_guard<std::mutex> conn_lk(conn_mu);

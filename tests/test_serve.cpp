@@ -11,9 +11,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -134,6 +138,130 @@ TEST(SpecFormat, ParseEventBodyStampsDefaultTrigger) {
   EXPECT_THROW(scenario::parse_event_body("bogus_event count=1"),
                std::runtime_error);
   EXPECT_THROW(scenario::parse_event_body(""), std::runtime_error);
+}
+
+/// Field-for-field exact equality (==, not a tolerance): the event log is
+/// replayed byte for byte, so a value that drifts by one ulp is a bug.
+void expect_same_event(const scenario::Event& a, const scenario::Event& b,
+                       const std::string& line) {
+  EXPECT_EQ(a.trigger, b.trigger) << line;
+  EXPECT_EQ(a.round, b.round) << line;
+  EXPECT_EQ(a.type, b.type) << line;
+  EXPECT_EQ(a.count, b.count) << line;
+  EXPECT_EQ(a.pick, b.pick) << line;
+  EXPECT_EQ(a.deploy, b.deploy) << line;
+  EXPECT_EQ(a.epochs, b.epochs) << line;
+  EXPECT_EQ(a.fraction, b.fraction) << line;
+  EXPECT_EQ(a.scale, b.scale) << line;
+  EXPECT_EQ(a.lo.x, b.lo.x) << line;
+  EXPECT_EQ(a.lo.y, b.lo.y) << line;
+  EXPECT_EQ(a.hi.x, b.hi.x) << line;
+  EXPECT_EQ(a.hi.y, b.hi.y) << line;
+  EXPECT_EQ(a.at.x, b.at.x) << line;
+  EXPECT_EQ(a.at.y, b.at.y) << line;
+  EXPECT_EQ(a.sigma, b.sigma) << line;
+}
+
+/// Seeded random events whose doubles are the formatter's awkward cases:
+/// subnormals, signed zeros, 1e-300 / 1e300, powers of two, and values that
+/// need all 17 significant digits. Every event passes parse_event's range
+/// checks (bbox fractions in [0,1], lo < hi, positive scale and sigma).
+std::vector<scenario::Event> awkward_events(int count, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  const auto pick = [&](const std::vector<double>& pool) {
+    return pool[gen() % pool.size()];
+  };
+  const auto subnormal = [&] {
+    return std::bit_cast<double>(
+        (gen() & ((std::uint64_t{1} << 52) - 1)) | 1);
+  };
+  const auto unit = [&] {  // 17 significant digits, almost always
+    return std::uniform_real_distribution<double>(0.0, 1.0)(gen);
+  };
+  const auto fraction = [&] {
+    return pick({0.0, -0.0, 1e-300, std::numeric_limits<double>::denorm_min(),
+                 subnormal(), unit(), unit(), 0.1 + 0.2, 0.5,
+                 std::ldexp(1.0, -1000), std::nextafter(1.0, 0.0), 1.0});
+  };
+  const auto positive = [&] {
+    return pick({1e-300, 1e300, std::numeric_limits<double>::denorm_min(),
+                 subnormal(), unit() + 1e-9, 1.0 / 3.0, 0.125,
+                 std::ldexp(1.0, 70), 123456.78901234567, 9.0e15 + 1.0, 1e16,
+                 std::numeric_limits<double>::max()});
+  };
+  const auto rect = [&](scenario::Event& ev) {
+    double x[2], y[2];
+    do {
+      x[0] = fraction(), x[1] = fraction();
+      y[0] = fraction(), y[1] = fraction();
+    } while (x[0] == x[1] || y[0] == y[1]);
+    ev.lo = {std::min(x[0], x[1]), std::min(y[0], y[1])};
+    ev.hi = {std::max(x[0], x[1]), std::max(y[0], y[1])};
+  };
+
+  std::vector<scenario::Event> events;
+  for (int i = 0; i < count; ++i) {
+    scenario::Event ev;
+    if (gen() % 2 == 0) {
+      ev.trigger = scenario::Trigger::kAtRound;
+      ev.round = static_cast<int>(gen() % 100000);
+    }
+    switch (gen() % 5) {
+      case 0:
+        ev.type = scenario::EventType::kFailNodes;
+        ev.pick = "region";
+        ev.count = static_cast<int>(gen() % 10);
+        rect(ev);
+        break;
+      case 1:
+        ev.type = scenario::EventType::kDrainBattery;
+        ev.epochs = pick({0.0, -0.0, positive()});
+        ev.fraction = fraction();
+        if (ev.epochs == 0.0 && ev.fraction == 0.0) ev.fraction = unit();
+        break;
+      case 2:
+        ev.type = scenario::EventType::kAddNodes;
+        ev.count = 1 + static_cast<int>(gen() % 10);
+        ev.deploy = "gaussian";
+        ev.at = {fraction(), fraction()};
+        ev.sigma = positive();
+        break;
+      case 3:
+        ev.type = scenario::EventType::kResizeBoundary;
+        ev.scale = positive();
+        break;
+      default:
+        ev.type = scenario::EventType::kJamRegion;
+        rect(ev);
+        break;
+    }
+    events.push_back(ev);
+  }
+  return events;
+}
+
+TEST(SpecFormat, AwkwardDoublesRoundTripThroughTheEventLog) {
+  for (const scenario::Event& ev : awkward_events(3000, 41)) {
+    const std::string line = scenario::format_event(ev);
+    // The replayed log: the full stamped line through the spec parser.
+    const scenario::ScenarioSpec re =
+        scenario::parse_scenario_string("nodes 30\nk 2\n" + line + "\n");
+    ASSERT_EQ(re.events.size(), 1u) << line;
+    scenario::Event back = re.events[0];
+    back.line = ev.line;
+    expect_same_event(back, ev, line);
+    // A second pass prints the same bytes.
+    EXPECT_EQ(scenario::format_event(back), line);
+
+    // The body a client submits: everything after "event <trigger> ".
+    const std::size_t body_at = line.find(' ', line.find(' ') + 1) + 1;
+    scenario::Event body = scenario::parse_event_body(line.substr(body_at));
+    body.trigger = ev.trigger;  // the service stamps the trigger itself
+    body.round = ev.round;
+    body.line = ev.line;
+    expect_same_event(body, ev, line);
+    if (testing::Test::HasFailure()) break;  // one bad line says enough
+  }
 }
 
 // ------------------------------------------------------ snapshot reads ----
@@ -384,6 +512,40 @@ TEST(Protocol, SessionAnswersEveryOp) {
             HandleAction::kRespond);
   EXPECT_EQ(handle_line(svc, R"({"op":"shutdown"})").action,
             HandleAction::kShutdown);
+}
+
+TEST(Protocol, KnnRejectsKOutsideIntRangeBeforeCasting) {
+  ServeConfig cfg;
+  cfg.spec = base_spec();
+  CoverageService svc(std::move(cfg));
+  svc.start();
+  svc.drain();
+
+  // Out of int's range, non-finite (1e400 parses to inf, null to NaN) or
+  // below 1: a named range error, never a cast of the raw double.
+  for (const char* k : {"3e9", "-1e300", "1e400", "-1e400", "null", "0",
+                        "0.5", "-3", "2147483648"}) {
+    const std::string reply = ask(
+        svc, std::string(R"({"op":"knn","x":50,"y":50,"k":)") + k + "}");
+    bool flag = true;
+    std::string error;
+    EXPECT_TRUE(flatjson::get_bool(reply, "ok", &flag) && !flag) << reply;
+    EXPECT_TRUE(flatjson::get_string(reply, "error", &error)) << reply;
+    EXPECT_EQ(error, "knn needs k in [1, 2147483647]") << "k:" << k;
+  }
+
+  // In range: k truncates as before, and a huge k answers every node.
+  double num = 0.0;
+  const std::string trunc = ask(svc, R"({"op":"knn","x":50,"y":50,"k":2.9})");
+  EXPECT_TRUE(flatjson::get_number(trunc, "k", &num)) << trunc;
+  EXPECT_EQ(num, 2.0);
+  EXPECT_EQ(trunc, ask(svc, R"({"op":"knn","x":50,"y":50,"k":2})"));
+  const std::string all =
+      ask(svc, R"({"op":"knn","x":50,"y":50,"k":2147483647})");
+  EXPECT_TRUE(flatjson::get_number(all, "k", &num)) << all;
+  EXPECT_EQ(num, 2147483647.0);
+  EXPECT_EQ(std::count(all.begin(), all.end(), '{'), 1 + 24) << all;
+  svc.stop();
 }
 
 TEST(Protocol, StdioTransportRunsAScriptedSession) {
