@@ -5,15 +5,16 @@
 // the starting max is nearly identical across k (it is set by the searching
 // geometry of the corner cluster, not by k).
 //
-// The k sweep runs through the campaign engine (the same spec ships as
-// campaigns/fig6_convergence.cmp): one declarative grid, trials sharded
+// The k sweep runs through the campaign engine on the shipped spec
+// campaigns/fig6_convergence.cmp: one declarative grid, trials sharded
 // across LAACAD_THREADS workers, per-round history retained for the
-// figure's probe table. What used to be a hand-rolled loop is now proof
-// that the campaign API subsumes the figure benches. One methodology
-// change rides along: each k is its own grid point with its own derived
-// seed, so the four runs start from four independently drawn corner
-// clusters (the old loop reused one deployment), and the comm range is
-// the density-aware auto value instead of a fixed 150 m — the paper's
+// figure's probe table, which plots the first trial (rep 0) of each k.
+// What used to be a hand-rolled loop is now proof that the campaign API
+// subsumes the figure benches. One methodology change rides along: each k
+// is its own grid point with its own derived seed, so the four runs start
+// from four independently drawn corner clusters (the old loop reused one
+// deployment), and the comm range is the density-aware auto value instead
+// of a fixed 150 m — the paper's
 // "initial max is nearly k-independent" claim now holds statistically
 // (corner clusters of equal size look alike) rather than by construction.
 #include <chrono>
@@ -28,34 +29,26 @@ namespace {
 
 using namespace laacad;
 
-constexpr const char* kCampaignSpec = R"(
-name      fig6_convergence
-trials    1
-seed      3
-domain    square
-side      1000
-deploy    corner
-nodes     100
-epsilon   1.0
-max_rounds 300
-grid_resolution 20
-sweep k 1 2 3 4
-)";
-
 void experiment() {
   campaign::CampaignOptions opt;
   opt.workers = benchutil::num_threads();
   opt.keep_history = true;
   campaign::CampaignScheduler scheduler(
-      campaign::parse_campaign_string(kCampaignSpec), std::move(opt));
+      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                   "/campaigns/fig6_convergence.cmp"),
+      std::move(opt));
   const campaign::CampaignResult result = scheduler.run();
-  for (const auto& trial : result.trials) {
+  // One curve pair per k: the rep == 0 trial of each grid point.
+  std::vector<const campaign::TrialResult*> curves;
+  for (std::size_t t = 0; t < result.trials.size(); ++t) {
+    const auto& trial = result.trials[t];
     if (!trial.ok || trial.history.empty()) {
       benchutil::TableSink::instance().note(
           "fig6 campaign trial FAILED — no figure produced: " +
           (trial.error.empty() ? "empty history" : trial.error));
       return;
     }
+    if (result.points[t].rep == 0) curves.push_back(&trial);
   }
 
   // Sample the series at the rounds shown on the paper's x-axis.
@@ -67,8 +60,8 @@ void experiment() {
   for (int round : probes) {
     std::vector<std::string> row{std::to_string(round)};
     bool any = false;
-    for (const auto& trial : result.trials) {
-      const auto& history = trial.history;
+    for (const campaign::TrialResult* trial : curves) {
+      const auto& history = trial->history;
       if (round <= static_cast<int>(history.size())) {
         const auto& m = history[static_cast<std::size_t>(round) - 1];
         row.push_back(TextTable::num(m.max_circumradius, 1));
@@ -88,10 +81,10 @@ void experiment() {
 
   // Monotonicity check (Prop. 4 corollary) reported explicitly.
   bool monotone = true;
-  for (const auto& trial : result.trials) {
-    for (std::size_t i = 1; i < trial.history.size(); ++i) {
-      if (trial.history[i].max_hat_radius >
-          trial.history[i - 1].max_hat_radius + 1e-6)
+  for (const campaign::TrialResult* trial : curves) {
+    for (std::size_t i = 1; i < trial->history.size(); ++i) {
+      if (trial->history[i].max_hat_radius >
+          trial->history[i - 1].max_hat_radius + 1e-6)
         monotone = false;
     }
   }

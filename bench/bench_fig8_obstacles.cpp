@@ -87,10 +87,11 @@ void experiment() {
         const wsn::Network& net = runner.network();
         row.nodes = net.size();
         row.feasible = true;
-        for (const wsn::Node& node : net.nodes())
-          row.feasible = row.feasible && runner.domain().contains(node.pos);
+        const auto positions = net.positions();
+        for (const auto& p : positions)
+          row.feasible = row.feasible && runner.domain().contains(p);
         row.clusters = cluster_count(
-            net.positions(), 0.10 * sres.phases.back().final_max_range);
+            positions, 0.10 * sres.phases.back().final_max_range);
         row.verified_depth =
             cov::critical_point_coverage(runner.domain(),
                                          cov::sensing_disks(net))

@@ -35,7 +35,7 @@ std::vector<NeighborInfo> Snapshot::closest_nodes(geom::Vec2 q, int k) const {
     NeighborInfo info;
     info.id = id;
     info.pos = net_->position(id);
-    info.sensing_range = net_->node(id).sensing_range;
+    info.sensing_range = net_->sensing_range(id);
     info.dist = (info.pos - q).norm();
     out.push_back(info);
   }
@@ -46,7 +46,7 @@ int Snapshot::coverage_depth(geom::Vec2 q) const {
   if (max_range_ <= 0.0) return 0;
   int depth = 0;
   for (const int id : net_->nodes_within(q, max_range_)) {
-    const double r = net_->node(id).sensing_range;
+    const double r = net_->sensing_range(id);
     if ((net_->position(id) - q).norm() <= r) ++depth;
   }
   return depth;

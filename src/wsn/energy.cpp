@@ -12,7 +12,7 @@ double sensing_energy(double range) { return M_PI * range * range; }
 std::vector<double> sensing_loads(const Network& net) {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(net.size()));
-  for (const Node& n : net.nodes()) out.push_back(sensing_energy(n.sensing_range));
+  for (const double r : net.sensing_ranges()) out.push_back(sensing_energy(r));
   return out;
 }
 

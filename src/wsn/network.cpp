@@ -10,26 +10,19 @@ Network::Network(const Domain* domain, std::vector<Vec2> positions,
                  double gamma)
     : domain_(domain), gamma_(gamma) {
   const std::size_t n = positions.size();
-  nodes_.reserve(n);
   xs_.reserve(n);
   ys_.reserve(n);
-  sense_.reserve(n);
-  boundary_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Node nd;
-    nd.id = static_cast<NodeId>(i);
-    nd.pos = domain_->project_inside(positions[i]);
-    nodes_.push_back(nd);
-    xs_.push_back(nd.pos.x);
-    ys_.push_back(nd.pos.y);
-    sense_.push_back(nd.sensing_range);
-    boundary_.push_back(0);
+  for (const Vec2& p : positions) {
+    const Vec2 q = domain_->project_inside(p);
+    xs_.push_back(q.x);
+    ys_.push_back(q.y);
   }
+  sense_.assign(n, 0.0);
 }
 
 std::vector<Vec2> Network::positions() const {
   std::vector<Vec2> out;
-  out.reserve(nodes_.size());
+  out.reserve(xs_.size());
   for (std::size_t i = 0; i < xs_.size(); ++i)
     out.push_back(Vec2{xs_[i], ys_[i]});
   return out;
@@ -37,54 +30,38 @@ std::vector<Vec2> Network::positions() const {
 
 void Network::set_position(NodeId i, Vec2 p) {
   const Vec2 q = domain_->project_inside(p);
-  nodes_[static_cast<size_t>(i)].pos = q;
   xs_[static_cast<size_t>(i)] = q.x;
   ys_[static_cast<size_t>(i)] = q.y;
   grid_dirty_.store(true, std::memory_order_release);
 }
 
 void Network::set_sensing_range(NodeId i, double r) {
-  nodes_[static_cast<size_t>(i)].sensing_range = r;
   sense_[static_cast<size_t>(i)] = r;
 }
 
-void Network::set_boundary(NodeId i, bool boundary) {
-  nodes_[static_cast<size_t>(i)].boundary = boundary;
-  boundary_[static_cast<size_t>(i)] = boundary ? 1 : 0;
-}
-
 NodeId Network::add_node(Vec2 p) {
-  Node n;
-  n.id = static_cast<NodeId>(nodes_.size());
-  n.pos = domain_->project_inside(p);
-  nodes_.push_back(n);
-  xs_.push_back(n.pos.x);
-  ys_.push_back(n.pos.y);
-  sense_.push_back(n.sensing_range);
-  boundary_.push_back(0);
+  const Vec2 q = domain_->project_inside(p);
+  xs_.push_back(q.x);
+  ys_.push_back(q.y);
+  sense_.push_back(0.0);
   grid_dirty_.store(true, std::memory_order_release);
-  return n.id;
+  return static_cast<NodeId>(xs_.size() - 1);
 }
 
 void Network::rebind_domain(const Domain* domain) {
   domain_ = domain;
-  for (std::size_t j = 0; j < nodes_.size(); ++j) {
-    Node& n = nodes_[j];
-    n.pos = domain_->project_inside(n.pos);
-    xs_[j] = n.pos.x;
-    ys_[j] = n.pos.y;
+  for (std::size_t j = 0; j < xs_.size(); ++j) {
+    const Vec2 q = domain_->project_inside({xs_[j], ys_[j]});
+    xs_[j] = q.x;
+    ys_[j] = q.y;
   }
   grid_dirty_.store(true, std::memory_order_release);
 }
 
 void Network::remove_node(NodeId i) {
-  nodes_.erase(nodes_.begin() + i);
   xs_.erase(xs_.begin() + i);
   ys_.erase(ys_.begin() + i);
   sense_.erase(sense_.begin() + i);
-  boundary_.erase(boundary_.begin() + i);
-  for (std::size_t j = 0; j < nodes_.size(); ++j)
-    nodes_[j].id = static_cast<NodeId>(j);
   grid_dirty_.store(true, std::memory_order_release);
 }
 

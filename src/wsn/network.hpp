@@ -1,14 +1,13 @@
 // The WSN itself: a set of mobile sensor nodes in a domain with a common
 // transmission range gamma (Sec. III-A).
 //
-// Storage is dual AoS/SoA: the `Node` records (id, pos, sensing range,
-// boundary flag) stay the inspection-friendly API, while the hot per-round
-// loops — grid rebuilds, candidate dist² scans, range reductions — read the
-// parallel SoA arrays xs()/ys()/sensing_ranges()/boundary_mask(), which are
-// contiguous and vectorize. Every mutation goes through the setters below,
-// which write both representations, so the two can never diverge (the
-// coherence is property-tested; there is deliberately no mutable node
-// accessor).
+// Node i is its location u_i = (xs()[i], ys()[i]) and its sensing range
+// r_i = sensing_ranges()[i]; ids are the dense indices 0..n-1. Each fact is
+// stored once, in these parallel arrays, which the per-round hot loops —
+// grid rebuilds, candidate dist² scans, range reductions — scan directly as
+// contiguous doubles. Every mutation goes through the setters below (there
+// is no mutable array accessor), so a position can never change behind the
+// spatial index's back.
 //
 // Threading contract: the spatial index behind the const query methods
 // (nodes_within / k_nearest / one_hop_neighbors) is built lazily after
@@ -20,7 +19,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -37,34 +35,26 @@ class Network {
   Network(const Domain* domain, std::vector<geom::Vec2> positions,
           double gamma);
 
-  int size() const { return static_cast<int>(nodes_.size()); }
+  int size() const { return static_cast<int>(xs_.size()); }
   const Domain& domain() const { return *domain_; }
   double gamma() const { return gamma_; }
 
-  const Node& node(NodeId i) const { return nodes_[static_cast<size_t>(i)]; }
-  const std::vector<Node>& nodes() const { return nodes_; }
-
   geom::Vec2 position(NodeId i) const {
-    return nodes_[static_cast<size_t>(i)].pos;
+    return {xs_[static_cast<size_t>(i)], ys_[static_cast<size_t>(i)]};
+  }
+  double sensing_range(NodeId i) const {
+    return sense_[static_cast<size_t>(i)];
   }
   std::vector<geom::Vec2> positions() const;
 
-  /// SoA hot state, parallel to nodes(): coordinate, sensing-range, and
-  /// boundary-flag arrays kept bitwise in sync with the Node records by the
-  /// setters. These are what the per-round hot loops scan — contiguous
-  /// doubles the compiler vectorizes, where iterating Node records cannot.
+  /// The node state itself, indexed by NodeId.
   const std::vector<double>& xs() const { return xs_; }
   const std::vector<double>& ys() const { return ys_; }
   const std::vector<double>& sensing_ranges() const { return sense_; }
-  const std::vector<std::uint8_t>& boundary_mask() const { return boundary_; }
 
   /// Move node i (projected into the feasible domain); invalidates the grid.
-  /// All mutation goes through these setters — there is deliberately no
-  /// mutable node accessor, so a position can never change behind the
-  /// spatial index's (or the SoA mirror's) back.
   void set_position(NodeId i, geom::Vec2 p);
   void set_sensing_range(NodeId i, double r);
-  void set_boundary(NodeId i, bool boundary);
 
   /// Add a node at p; returns its id. Remove erases in place and shifts
   /// every higher id down by one (ids stay dense 0..n-1) — removal
@@ -99,10 +89,7 @@ class Network {
 
   const Domain* domain_;
   double gamma_;
-  std::vector<Node> nodes_;
-  // SoA mirrors of the hot Node fields, maintained by every mutator.
   std::vector<double> xs_, ys_, sense_;
-  std::vector<std::uint8_t> boundary_;
   mutable SpatialGrid grid_;
   mutable std::atomic<bool> grid_dirty_{true};
   mutable std::mutex grid_mutex_;

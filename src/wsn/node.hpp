@@ -1,21 +1,14 @@
 // Sensor node model (Sec. III-A of the paper): omnidirectional disk sensing
 // with a tunable range, a common transmission range, and motion capability.
+// A node is its location u_i and sensing range r_i; both live in
+// wsn::Network's arrays, indexed by the dense NodeId.
 #pragma once
 
 #include <cstdint>
-
-#include "geometry/vec2.hpp"
 
 namespace laacad::wsn {
 
 using NodeId = std::int32_t;
 inline constexpr NodeId kInvalidNode = -1;
-
-struct Node {
-  NodeId id = kInvalidNode;
-  geom::Vec2 pos;          ///< Current location u_i (metres).
-  double sensing_range = 0.0;  ///< r_i, tuned at algorithm termination.
-  bool boundary = false;   ///< Flag set by the boundary-detection service.
-};
 
 }  // namespace laacad::wsn

@@ -182,7 +182,6 @@ TEST(Network, AddRemoveNode) {
   EXPECT_EQ(id, 1);
   net.remove_node(0);
   EXPECT_EQ(net.size(), 1);
-  EXPECT_EQ(net.node(0).id, 0);  // ids re-densified
   EXPECT_EQ(net.position(0), Vec2(20, 20));
 }
 
@@ -418,8 +417,6 @@ TEST(Boundary, ClusterEdgeDetected) {
   EXPECT_TRUE(info[0].network_boundary);
   // Center node (index 12): surrounded on all sides.
   EXPECT_FALSE(info[12].network_boundary);
-  EXPECT_TRUE(net.node(0).boundary);
-  EXPECT_FALSE(net.node(12).boundary);
 }
 
 TEST(Boundary, AreaBoundaryByProximity) {
