@@ -3,13 +3,13 @@
 // hop-realistic (TTL-limited) flooding versus the paper's idealized
 // N(n_i, rho) gather.
 //
-// The grid runs through the campaign engine (the same spec ships as
-// campaigns/locality_ablation.cmp): max_hops x flooding as declarative
+// The grid runs through the campaign engine on the shipped spec
+// campaigns/locality_ablation.cmp: max_hops x flooding as declarative
 // sweep axes (the `flooding` spec key maps to LocalizedConfig::ideal_gather)
-// with three seeds per cell, plus an embedded global-reference campaign for
-// the comparison row. Quality columns (rounds, R*, verified depth) are
-// campaign aggregates; the message-accounting columns come from a probe
-// reading each trial's streamed CommStats, averaged per cell here.
+// with three seeds per cell. The comparison row is the same spec with its
+// axes dropped and `backend global`. Quality columns (rounds, R*, verified
+// depth) are campaign aggregates; the message-accounting columns come from
+// a probe reading each trial's streamed CommStats, averaged per cell here.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -22,43 +22,6 @@ namespace {
 
 using namespace laacad;
 
-// Mirror of campaigns/locality_ablation.cmp so the binary is
-// self-contained.
-constexpr const char* kLocalizedSpec = R"(
-name      locality_ablation
-trials    3
-seed      55
-domain    square
-side      600
-deploy    uniform
-nodes     80
-k         2
-epsilon   1.0
-max_rounds 300
-gamma     120
-grid_resolution 10
-backend   localized
-sweep max_hops 3 6 10
-sweep flooding ideal ttl
-)";
-
-// The exact-solver reference: the same physics, no locality axes.
-constexpr const char* kGlobalSpec = R"(
-name      locality_ablation_global
-trials    3
-seed      55
-domain    square
-side      600
-deploy    uniform
-nodes     80
-k         2
-epsilon   1.0
-max_rounds 300
-gamma     120
-grid_resolution 10
-backend   global
-)";
-
 /// Per-trial message accounting, filled by the probe from the streamed
 /// round series (O(1) memory per trial — no retained history).
 struct Row {
@@ -67,10 +30,10 @@ struct Row {
   std::uint64_t deepest_hop = 0;
 };
 
-campaign::CampaignResult run_grid(const char* spec_text,
+campaign::CampaignResult run_grid(campaign::CampaignSpec spec,
                                   std::vector<Row>& rows) {
   return benchutil::run_campaign_with_probe(
-      campaign::parse_campaign_string(spec_text), rows,
+      std::move(spec), rows,
       [&rows](const campaign::TrialPoint& pt, const scenario::ScenarioRunner&,
               const scenario::ScenarioResult& result) {
         wsn::CommStats comm;
@@ -131,12 +94,20 @@ void experiment() {
   TextTable table({"backend", "rounds", "R* (m)", "verified depth",
                    "gathers/round", "reports/round", "deepest hop"});
 
+  const campaign::CampaignSpec spec = campaign::load_campaign_file(
+      std::string(LAACAD_SOURCE_DIR) + "/campaigns/locality_ablation.cmp");
+  // The exact-solver reference: the same physics, no locality axes.
+  campaign::CampaignSpec global_spec = spec;
+  global_spec.name += "_global";
+  global_spec.axes.clear();
+  scenario::set_key(global_spec.base, "backend", "global", 0);
+
   std::vector<Row> global_rows;
-  const auto global = run_grid(kGlobalSpec, global_rows);
+  const auto global = run_grid(std::move(global_spec), global_rows);
   add_rows(table, global, global_rows, "global (exact)");
 
   std::vector<Row> local_rows;
-  const auto localized = run_grid(kLocalizedSpec, local_rows);
+  const auto localized = run_grid(spec, local_rows);
   add_rows(table, localized, local_rows, "localized");
 
   benchutil::TableSink::instance().add(

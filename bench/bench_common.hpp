@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -19,7 +18,6 @@
 
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
 
 namespace laacad::benchutil {
@@ -53,15 +51,6 @@ campaign::CampaignResult run_campaign_with_probe(campaign::CampaignSpec spec,
   campaign::CampaignScheduler scheduler(std::move(spec), std::move(opt));
   rows.assign(scheduler.trials().size(), Row{});
   return scheduler.run();
-}
-
-/// Per-experiment seed derivation: a named base stream advanced by the
-/// sweep indices through Rng::derive (splitmix64). Replaces ad-hoc
-/// `base + n + k` seed arithmetic, whose collisions (100+60+3 == 100+59+4)
-/// silently correlated supposedly independent runs.
-template <typename... Streams>
-inline std::uint64_t derived_seed(std::uint64_t base, Streams... streams) {
-  return Rng::derive(base, static_cast<std::uint64_t>(streams)...);
 }
 
 /// Thread count for LaacadConfig::num_threads in the benches, settable

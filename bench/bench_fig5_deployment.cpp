@@ -2,9 +2,9 @@
 // and LAACAD deploys them for k = 1..4 coverage. The paper's qualitative
 // claim is an "even clustering" equilibrium: for k >= 2 nodes gather in
 // groups of size k spread evenly over the area (pure even spread at k = 1).
-// We quantify it: cluster count and size distribution via union-find at a
-// co-location radius, plus exact coverage verification. SVG snapshots
-// accompany.
+// We quantify it: the cluster count at a co-location radius (connected
+// components of the graph linking nodes closer than it), plus exact
+// coverage verification. SVG snapshots accompany.
 //
 // Both sweeps run through the campaign engine (the corner sweep also ships
 // as campaigns/fig5_deployment.cmp): declarative grids whose trials shard
@@ -15,7 +15,6 @@
 // grid point with its own derived seed, so runs start from independently
 // drawn corner clusters rather than one shared draw.
 #include <fstream>
-#include <numeric>
 
 #include "bench_common.hpp"
 #include "campaign/scheduler.hpp"
@@ -23,37 +22,11 @@
 #include "coverage/grid_checker.hpp"
 #include "scenario/runner.hpp"
 #include "viz/render.hpp"
+#include "wsn/connectivity.hpp"
 
 namespace {
 
 using namespace laacad;
-
-// Union-find clustering of node positions at the given merge radius.
-std::vector<int> cluster_sizes(const std::vector<geom::Vec2>& pts,
-                               double radius) {
-  const int n = static_cast<int>(pts.size());
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  };
-  for (int a = 0; a < n; ++a)
-    for (int b = a + 1; b < n; ++b)
-      if (geom::dist(pts[static_cast<std::size_t>(a)],
-                     pts[static_cast<std::size_t>(b)]) <= radius)
-        parent[static_cast<std::size_t>(find(a))] = find(b);
-  std::vector<int> count(static_cast<std::size_t>(n), 0);
-  for (int a = 0; a < n; ++a) ++count[static_cast<std::size_t>(find(a))];
-  std::vector<int> sizes;
-  for (int c : count)
-    if (c > 0) sizes.push_back(c);
-  return sizes;
-}
 
 // The corner sweep IS the shipped campaign — loaded from the source tree
 // so the bench and campaigns/fig5_deployment.cmp can never drift apart.
@@ -79,7 +52,7 @@ using benchutil::axis_value;
 struct ClusterRow {
   bool have = false;
   int nodes = 0;
-  std::vector<int> sizes;    ///< union-find cluster sizes at 0.1 R*
+  int clusters = 0;          ///< co-location clusters at 0.1 R*
   int verified_depth = 0;    ///< exact critical-point min coverage depth
 };
 
@@ -99,8 +72,9 @@ campaign::CampaignResult run_with_probe(campaign::CampaignSpec spec,
         const wsn::Network& net = runner.network();
         row.nodes = net.size();
         // Co-location radius: 10% of the final sensing range.
-        row.sizes = cluster_sizes(
-            net.positions(), 0.10 * result.phases.back().final_max_range);
+        row.clusters = wsn::analyze_connectivity(
+                           net, 0.10 * result.phases.back().final_max_range)
+                           .components;
         row.verified_depth =
             cov::critical_point_coverage(runner.domain(),
                                          cov::sensing_disks(net))
@@ -141,12 +115,12 @@ void experiment() {
       return;
     }
     const double mean_size = static_cast<double>(row.nodes) /
-                             static_cast<double>(row.sizes.size());
+                             static_cast<double>(row.clusters);
     table.add_row({axis_value(result.points[i], "k"),
                    TextTable::num(trial.metrics[rounds_m], 0),
                    TextTable::num(trial.metrics[rmax_m], 2),
                    TextTable::num(trial.metrics[rmin_m], 2),
-                   std::to_string(row.sizes.size()),
+                   std::to_string(row.clusters),
                    TextTable::num(mean_size, 2),
                    std::to_string(row.verified_depth)});
   }
@@ -191,9 +165,9 @@ void clustered_experiment() {
     table.add_row(
         {std::to_string(k), TextTable::num(trial.metrics[rounds_m], 0),
          TextTable::num(trial.metrics[rmax_m], 2), std::to_string(groups),
-         std::to_string(row.sizes.size()),
+         std::to_string(row.clusters),
          TextTable::num(static_cast<double>(row.nodes) /
-                            static_cast<double>(row.sizes.size()),
+                            static_cast<double>(row.clusters),
                         2)});
   }
   benchutil::TableSink::instance().add(

@@ -7,11 +7,12 @@
 //   (b) total sensing load: decreases with N (less overlap waste), grows
 //       with k.
 //
-// The (N x k) grid runs through the campaign engine: a two-axis declarative
-// sweep sharded across LAACAD_THREADS workers with per-trial derived seeds,
-// instead of the old nested loops with `Rng rng(100 + n + k)` seed
-// arithmetic (whose collisions — 100+60+3 == 100+59+4 — silently correlated
-// supposedly independent runs).
+// The (N x k) grid runs through the campaign engine on the shipped spec
+// campaigns/fig7_energy.cmp: a two-axis declarative sweep sharded across
+// LAACAD_THREADS workers with per-trial derived seeds, instead of the old
+// nested loops with `Rng rng(100 + n + k)` seed arithmetic (whose
+// collisions — 100+60+3 == 100+59+4 — silently correlated supposedly
+// independent runs).
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -21,25 +22,13 @@ namespace {
 
 using namespace laacad;
 
-constexpr const char* kCampaignSpec = R"(
-name      fig7_energy
-trials    1
-seed      100
-domain    square
-side      1000
-deploy    uniform
-epsilon   1.0
-max_rounds 250
-grid_resolution 25
-sweep nodes 20 60 100 140 180
-sweep k 1 2 3 4
-)";
-
 void experiment() {
   campaign::CampaignOptions opt;
   opt.workers = benchutil::num_threads();
   campaign::CampaignScheduler scheduler(
-      campaign::parse_campaign_string(kCampaignSpec), std::move(opt));
+      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                   "/campaigns/fig7_energy.cmp"),
+      std::move(opt));
   const campaign::CampaignResult result = scheduler.run();
 
   const std::size_t max_m = campaign::metric_index("max_load");

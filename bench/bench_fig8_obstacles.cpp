@@ -15,8 +15,6 @@
 // seeded uniform deployment via the campaign's derived seeds instead of
 // reusing one RNG stream across k.
 #include <fstream>
-#include <functional>
-#include <numeric>
 
 #include "bench_common.hpp"
 #include "campaign/scheduler.hpp"
@@ -24,37 +22,17 @@
 #include "coverage/grid_checker.hpp"
 #include "scenario/runner.hpp"
 #include "viz/render.hpp"
+#include "wsn/connectivity.hpp"
 
 namespace {
 
 using namespace laacad;
 
-std::size_t cluster_count(const std::vector<geom::Vec2>& pts, double radius) {
-  const int n = static_cast<int>(pts.size());
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x)
-      x = parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-    return x;
-  };
-  for (int a = 0; a < n; ++a)
-    for (int b = a + 1; b < n; ++b)
-      if (geom::dist(pts[static_cast<std::size_t>(a)],
-                     pts[static_cast<std::size_t>(b)]) <= radius)
-        parent[static_cast<std::size_t>(find(a))] = find(b);
-  std::size_t clusters = 0;
-  for (int a = 0; a < n; ++a)
-    if (find(a) == a) ++clusters;
-  return clusters;
-}
-
 /// What the probe lifts out of each finished trial (per trial index).
 struct ObstacleRow {
   bool have = false;
   bool feasible = false;     ///< no node on an obstacle / outside the domain
-  std::size_t clusters = 0;  ///< union-find clusters at 0.1 R*
+  int clusters = 0;          ///< co-location clusters at 0.1 R*
   int nodes = 0;
   int verified_depth = 0;    ///< exact critical-point min coverage depth
 };
@@ -87,11 +65,11 @@ void experiment() {
         const wsn::Network& net = runner.network();
         row.nodes = net.size();
         row.feasible = true;
-        const auto positions = net.positions();
-        for (const auto& p : positions)
+        for (const auto& p : net.positions())
           row.feasible = row.feasible && runner.domain().contains(p);
-        row.clusters = cluster_count(
-            positions, 0.10 * sres.phases.back().final_max_range);
+        row.clusters = wsn::analyze_connectivity(
+                           net, 0.10 * sres.phases.back().final_max_range)
+                           .components;
         row.verified_depth =
             cov::critical_point_coverage(runner.domain(),
                                          cov::sensing_disks(net))

@@ -13,7 +13,7 @@
 // across LAACAD_THREADS workers, each trial's final network observed by a
 // probe for the median-range column. One methodology change rides along:
 // per-trial seeds are campaign-derived (Rng::derive over the grid point)
-// instead of the old ad-hoc derived_seed(500, N) stream, so the deployments
+// instead of the old per-bench stream keyed on (500, N), so the deployments
 // differ from the hand-rolled loop's — the table is a shape reproduction,
 // not a digit-for-digit one, and the shape is seed-robust.
 #include <cmath>

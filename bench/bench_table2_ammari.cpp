@@ -11,7 +11,7 @@
 //
 // The k sweep runs through the campaign engine on the shipped spec
 // campaigns/table2_ammari.cmp. Per-trial seeds are campaign-derived, so
-// deployments differ from the old hand-rolled derived_seed(700, k) loop —
+// deployments differ from the old hand-rolled loop seeded from (700, k) —
 // the table is a shape reproduction, robust to the seed stream.
 #include <cmath>
 #include <fstream>

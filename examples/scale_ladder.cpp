@@ -8,25 +8,27 @@
 // key on. Results land in BENCH_scale_ladder.json.
 //
 // Usage:
-//   scale_ladder [--campaign PATH] [--max-nodes N] [--budget PATH]
+//   scale_ladder --campaign PATH [--max-nodes N] [--budget PATH]
 //                [--json PATH] [--trial-threads N] [--trace PATH] [--quiet]
 //
-// --max-nodes caps which rungs run: ctest climbs to 10^5, the CI bench
-// job runs the full ladder. --budget loads campaigns/scale_ladder.budget;
-// dist2-evaluation budgets are enforced unconditionally for every
-// --trial-threads value (they are deterministic and machine-independent,
-// the same contract as the dist^2 regression gates — the thread pool folds
-// every worker chunk's counter delta back into the measuring thread, so
-// the totals are exact at any thread count), while wall-clock and RSS
-// budgets
-// apply only when LAACAD_ENFORCE_BUDGET is set in the environment (CI
-// runners), so developer laptops never flake on a noisy neighbour.
+// --campaign is the ladder spec, normally campaigns/scale_ladder.cmp.
+// --max-nodes caps which rungs run: CI climbs to 10^4 on every change and
+// runs the full ladder on pushes to main. --budget loads
+// campaigns/scale_ladder.budget; dist2-evaluation budgets are enforced
+// unconditionally for every --trial-threads value (they are deterministic
+// and machine-independent, the same contract as the dist^2 regression
+// gates — the thread pool folds every worker chunk's counter delta back
+// into the measuring thread, so the totals are exact at any thread count),
+// while wall-clock and RSS budgets apply only when LAACAD_ENFORCE_BUDGET is
+// set in the environment (CI runners), so developer laptops never flake on
+// a noisy neighbour.
 // --trace writes one Chrome trace-event JSON per rung (path suffixed
 // _n<nodes>) and prints that rung's per-stage wall-clock breakdown (grid
 // rebuild, region fan-out, movement, ...) in the stdout summary.
 // Exit status 0 iff every rung ran ok and every enforced budget held.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,24 +50,6 @@
 namespace {
 
 using namespace laacad;
-
-// Mirror of campaigns/scale_ladder.cmp so the binary is self-contained
-// (ctest runs it from the build tree); --campaign swaps in a file.
-constexpr const char* kLadderSpec = R"(
-name      scale_ladder
-trials    1
-seed      900
-domain    square
-side      1000
-deploy    uniform
-k         2
-backend   auto
-epsilon   5.0
-max_rounds 3
-gamma     0
-grid_resolution 25
-sweep nodes 1000 10000 100000 1000000
-)";
 
 struct RungBudget {
   long long nodes = 0;
@@ -90,11 +74,11 @@ struct RungRow {
 
 void usage(const char* argv0) {
   std::printf(
-      "usage: %s [--campaign PATH] [--max-nodes N] [--budget PATH]\n"
+      "usage: %s --campaign PATH [--max-nodes N] [--budget PATH]\n"
       "          [--json PATH] [--trial-threads N] [--trace PATH]\n"
       "          [--heartbeat] [--quiet]\n"
-      "  --campaign PATH   ladder campaign file (default: embedded\n"
-      "                    mirror of campaigns/scale_ladder.cmp)\n"
+      "  --campaign PATH   ladder campaign file (required), e.g.\n"
+      "                    campaigns/scale_ladder.cmp\n"
       "  --max-nodes N     skip rungs larger than N nodes\n"
       "  --budget PATH     budget file; dist2 budgets always enforced\n"
       "                    (counters are exact at any thread count),\n"
@@ -188,11 +172,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A non-negative integer value, checked like campaign_runner's
+    // --workers: "abc" or "2x" is a usage error, not 0 or 2.
+    auto count = [&](long long max) -> long long {
+      const char* v = next();
+      char* end = nullptr;
+      const long long value = std::strtoll(v, &end, 10);
+      if (end == v || *end != '\0' || value < 0 || value > max) {
+        std::cerr << "scale_ladder: " << arg
+                  << " expects a non-negative integer\n";
+        std::exit(2);
+      }
+      return value;
+    };
     if (arg == "--campaign") campaign_path = next();
-    else if (arg == "--max-nodes") max_nodes = std::atoll(next());
+    else if (arg == "--max-nodes") max_nodes = count(LLONG_MAX);
     else if (arg == "--budget") budget_path = next();
     else if (arg == "--json") json_path = next();
-    else if (arg == "--trial-threads") trial_threads = std::atoi(next());
+    else if (arg == "--trial-threads")
+      trial_threads = static_cast<int>(count(INT_MAX));
     else if (arg == "--trace") trace_path = next();
     else if (arg == "--heartbeat") heartbeat = true;
     else if (arg == "--quiet") quiet = true;
@@ -206,11 +204,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (campaign_path.empty()) {
+    std::cerr << "scale_ladder: --campaign PATH is required\n";
+    usage(argv[0]);
+    return 2;
+  }
+
   try {
     const campaign::CampaignSpec spec =
-        campaign_path.empty()
-            ? campaign::parse_campaign_string(kLadderSpec)
-            : campaign::load_campaign_file(campaign_path);
+        campaign::load_campaign_file(campaign_path);
     const campaign::Axis* nodes_axis = nullptr;
     for (const campaign::Axis& ax : spec.axes)
       if (ax.key == "nodes") nodes_axis = &ax;

@@ -19,11 +19,6 @@ double Rng::gaussian(double mean, double stddev) {
   return d(engine_);
 }
 
-bool Rng::coin(double p) {
-  std::bernoulli_distribution d(p);
-  return d(engine_);
-}
-
 namespace {
 
 /// splitmix64 finalizer: full-avalanche 64-bit mix.

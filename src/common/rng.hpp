@@ -28,9 +28,6 @@ class Rng {
   /// Normal draw with the given mean and standard deviation.
   double gaussian(double mean, double stddev);
 
-  /// Bernoulli draw with success probability p.
-  bool coin(double p);
-
   /// Access to the underlying engine (e.g. for std::shuffle).
   std::mt19937_64& engine() { return engine_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -81,6 +82,30 @@ TEST(CampaignSpec, RejectsMalformedInput) {
 }
 
 // ----------------------------------------------------------- expansion ----
+
+// Every shipped campaign loads, expands, and resolves each of its trials to
+// a valid scenario, without running any of them. The figure benches load
+// these files but never run under ctest, so this is what catches a spec
+// edit that would break them.
+TEST(CampaignSpec, ShippedCampaignFilesResolve) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(LAACAD_SOURCE_DIR) + "/campaigns")) {
+    if (entry.path().extension() != ".cmp") continue;
+    ++files;
+    SCOPED_TRACE(entry.path().filename().string());
+    CampaignSpec spec;
+    ASSERT_NO_THROW(spec = load_campaign_file(entry.path().string()));
+    std::vector<TrialPoint> points;
+    ASSERT_NO_THROW(points = expand_grid(spec));
+    EXPECT_FALSE(points.empty());
+    for (const TrialPoint& pt : points) {
+      SCOPED_TRACE("trial " + std::to_string(pt.trial));
+      EXPECT_NO_THROW(scenario::validate(resolve_trial_spec(spec, pt)));
+    }
+  }
+  EXPECT_GT(files, 0);
+}
 
 TEST(CampaignGrid, RowMajorExpansionWithDerivedSeeds) {
   const CampaignSpec spec = parse_campaign_string(R"(

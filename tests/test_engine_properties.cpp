@@ -3,39 +3,14 @@
 // runs, and coverage under stress shapes.
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <numeric>
-
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "laacad/engine.hpp"
+#include "wsn/connectivity.hpp"
 #include "wsn/deployment.hpp"
 
 namespace laacad::core {
 namespace {
-
-using geom::Vec2;
-
-std::size_t cluster_count(const std::vector<Vec2>& pts, double radius) {
-  const int n = static_cast<int>(pts.size());
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x)
-      x = parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-    return x;
-  };
-  for (int a = 0; a < n; ++a)
-    for (int b = a + 1; b < n; ++b)
-      if (geom::dist(pts[static_cast<std::size_t>(a)],
-                     pts[static_cast<std::size_t>(b)]) <= radius)
-        parent[static_cast<std::size_t>(find(a))] = find(b);
-  std::size_t count = 0;
-  for (int a = 0; a < n; ++a)
-    if (find(a) == a) ++count;
-  return count;
-}
 
 LaacadConfig cfg_quick(int k) {
   LaacadConfig cfg;
@@ -72,8 +47,8 @@ TEST(EngineProperty, StackedStartStaysClusteredForK2) {
   wsn::Network net(&d, init, 100.0);
   RunResult res = Engine(net, cfg_quick(2)).run();
   ASSERT_TRUE(res.converged);
-  const auto clusters =
-      cluster_count(net.positions(), 0.1 * res.final_max_range);
+  const int clusters =
+      wsn::analyze_connectivity(net, 0.1 * res.final_max_range).components;
   EXPECT_NEAR(static_cast<double>(clusters), 16.0, 2.0);
   const auto exact = cov::critical_point_coverage(d, cov::sensing_disks(net));
   EXPECT_GE(exact.min_depth, 2);

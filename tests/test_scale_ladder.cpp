@@ -106,21 +106,15 @@ TEST(ScaleTrajectory, LocalizedBitIdenticalToPreRefactorBaseline) {
 // --------------------------------------------------------------------------
 // Scale ladder rungs through the campaign engine.
 
-campaign::CampaignSpec rung_spec(int nodes, int max_rounds = 3) {
-  return campaign::parse_campaign_string(
-      "name scale_rung\n"
-      "trials 1\n"
-      "seed 900\n"
-      "domain square\n"
-      "side 1000\n"
-      "deploy uniform\n"
-      "k 2\n"
-      "backend auto\n"
-      "epsilon 5.0\n"
-      "max_rounds " + std::to_string(max_rounds) + "\n"
-      "gamma 0\n"
-      "grid_resolution 25\n"
-      "sweep nodes " + std::to_string(nodes) + "\n");
+// The shipped ladder spec narrowed to one rung. The narrowed sweep has a
+// single grid point, point 0, so the rung draws the same derived seed for
+// every node count.
+campaign::CampaignSpec rung_spec(int nodes) {
+  campaign::CampaignSpec spec = campaign::load_campaign_file(
+      std::string(LAACAD_SOURCE_DIR) + "/campaigns/scale_ladder.cmp");
+  for (campaign::Axis& axis : spec.axes)
+    if (axis.key == "nodes") axis.values = {std::to_string(nodes)};
+  return spec;
 }
 
 // Runs one rung serially and returns (ok, dist2 evals per node).
