@@ -6,10 +6,11 @@
 // components of the graph linking nodes closer than it), plus exact
 // coverage verification. SVG snapshots accompany.
 //
-// Both sweeps run through the campaign engine (the corner sweep also ships
-// as campaigns/fig5_deployment.cmp): declarative grids whose trials shard
-// across LAACAD_THREADS workers, with a probe hook lifting the final
-// network state out of each trial for the cluster statistic and the SVGs.
+// Both sweeps run through the campaign engine and ship as
+// campaigns/fig5_deployment.cmp and campaigns/fig5_clustered.cmp:
+// declarative grids whose trials run on LAACAD_THREADS workers, with a
+// probe hook lifting the final network state out of each trial for the
+// cluster statistic and the SVGs.
 // What used to be two hand-rolled k-loops is now proof that the campaign
 // API subsumes this figure too. As with the fig6 port, each k is its own
 // grid point with its own derived seed, so runs start from independently
@@ -28,23 +29,12 @@ namespace {
 
 using namespace laacad;
 
-// The corner sweep IS the shipped campaign — loaded from the source tree
-// so the bench and campaigns/fig5_deployment.cmp can never drift apart.
-// The clustered fixed-point check below is bench-only and stays inline.
-constexpr const char* kClusteredCampaign = R"(
-name      fig5_clustered
-trials    1
-seed      400
-domain    square
-side      1000
-deploy    stacked
-nodes     100
-epsilon   1.0
-max_rounds 300
-gamma     150
-grid_resolution 20
-sweep k 2 3 4
-)";
+// Both sweeps ARE the shipped campaigns — loaded from the source tree so
+// the bench and campaigns/ can never drift apart.
+campaign::CampaignSpec shipped_campaign(const char* file) {
+  return campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
+                                      "/campaigns/" + file);
+}
 
 using benchutil::axis_value;
 
@@ -95,10 +85,9 @@ campaign::CampaignResult run_with_probe(campaign::CampaignSpec spec,
 
 void experiment() {
   std::vector<ClusterRow> rows;
-  const campaign::CampaignResult result = run_with_probe(
-      campaign::load_campaign_file(std::string(LAACAD_SOURCE_DIR) +
-                                   "/campaigns/fig5_deployment.cmp"),
-      rows, "fig5_k", /*render_initial=*/true);
+  const campaign::CampaignResult result =
+      run_with_probe(shipped_campaign("fig5_deployment.cmp"), rows, "fig5_k",
+                     /*render_initial=*/true);
 
   TextTable table({"k", "rounds", "R* (m)", "min range (m)", "clusters",
                    "mean cluster size", "verified depth"});
@@ -142,7 +131,7 @@ void experiment() {
 void clustered_experiment() {
   std::vector<ClusterRow> rows;
   const campaign::CampaignResult result = run_with_probe(
-      campaign::parse_campaign_string(kClusteredCampaign), rows,
+      shipped_campaign("fig5_clustered.cmp"), rows,
       /*svg_prefix=*/nullptr, /*render_initial=*/false);
 
   TextTable table({"k", "rounds", "R* (m)", "clusters (start)",

@@ -6,7 +6,7 @@
 // geometry of the corner cluster, not by k).
 //
 // The k sweep runs through the campaign engine on the shipped spec
-// campaigns/fig6_convergence.cmp: one declarative grid, trials sharded
+// campaigns/fig6_convergence.cmp: one declarative grid, trials spread
 // across LAACAD_THREADS workers, per-round history retained for the
 // figure's probe table, which plots the first trial (rep 0) of each k.
 // What used to be a hand-rolled loop is now proof that the campaign API

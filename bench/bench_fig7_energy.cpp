@@ -8,7 +8,7 @@
 //       with k.
 //
 // The (N x k) grid runs through the campaign engine on the shipped spec
-// campaigns/fig7_energy.cmp: a two-axis declarative sweep sharded across
+// campaigns/fig7_energy.cmp: a two-axis declarative sweep spread across
 // LAACAD_THREADS workers with per-trial derived seeds, instead of the old
 // nested loops with `Rng rng(100 + n + k)` seed arithmetic (whose
 // collisions — 100+60+3 == 100+59+4 — silently correlated supposedly

@@ -9,7 +9,7 @@
 // our radii are ~10x — the N* column and the ratio are scale-free.)
 //
 // The N sweep runs through the campaign engine on the shipped spec
-// campaigns/table1_minnode2.cmp: one declarative grid, trials sharded
+// campaigns/table1_minnode2.cmp: one declarative grid, trials spread
 // across LAACAD_THREADS workers, each trial's final network observed by a
 // probe for the median-range column. One methodology change rides along:
 // per-trial seeds are campaign-derived (Rng::derive over the grid point)

@@ -1,11 +1,10 @@
 // campaign_runner — expand a declarative parameter-sweep campaign into a
-// trial matrix, shard it across workers, and emit aggregate metrics.
+// trial matrix, run it on a pool of workers, and emit aggregate metrics.
 //
 // Usage:
 //   campaign_runner <campaign-file> [--workers N] [--trial-threads N]
 //                   [--resume] [--json PATH] [--csv PATH] [--manifest PATH]
-//                   [--shard i/N] [--dry-run] [--quiet]
-//                   [--trace PATH] [--heartbeat]
+//                   [--dry-run] [--quiet] [--trace PATH] [--heartbeat]
 //
 // The campaign format is documented in src/campaign/spec.hpp and the
 // README; shipped examples live in campaigns/. Outputs (defaults derive
@@ -16,13 +15,7 @@
 // All outputs are byte-identical for every --workers value and for any
 // interrupt/--resume split. Exit status 0 iff every trial completed with
 // verified final k-coverage.
-//
-// With --shard i/N this process runs only its stride partition of the
-// matrix (trial % N == i, see src/dist/partition.hpp), journals into
-// BENCH_campaign_<name>.shard-i-of-N.manifest, and emits no aggregates —
-// those come from merging all N shard manifests (campaign_fleet, which
-// also spawns local shard fleets; cross-host runs rsync the manifests and
-// merge with --merge-only). Per-shard --resume works unchanged.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -33,7 +26,6 @@
 #include "campaign/scheduler.hpp"
 #include "common/sysinfo.hpp"
 #include "common/table.hpp"
-#include "dist/partition.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/trace.hpp"
 
@@ -43,7 +35,7 @@ void usage(const char* argv0) {
   std::printf(
       "usage: %s <campaign-file> [--workers N] [--trial-threads N]\n"
       "          [--resume] [--json PATH] [--csv PATH] [--manifest PATH]\n"
-      "          [--shard i/N] [--dry-run] [--quiet]\n"
+      "          [--dry-run] [--quiet] [--trace PATH] [--heartbeat]\n"
       "  --workers N   trial-level parallelism (0 = hardware); outputs are\n"
       "                byte-identical for every value\n"
       "  --trial-threads N  engine threads inside each trial (0 = hardware);\n"
@@ -52,9 +44,6 @@ void usage(const char* argv0) {
       "  --json PATH   aggregate output (default BENCH_campaign_<name>.json)\n"
       "  --csv PATH    trial log (default BENCH_campaign_<name>_trials.csv)\n"
       "  --manifest PATH  journal path (default BENCH_campaign_<name>.manifest)\n"
-      "  --shard i/N   run only this stride partition of the trial matrix,\n"
-      "                journal to BENCH_campaign_<name>.shard-i-of-N.manifest,\n"
-      "                emit no aggregates (merge shards with campaign_fleet)\n"
       "  --dry-run     print the expanded trial matrix and exit\n"
       "  --trace PATH  write a Chrome trace-event JSON timeline (per-trial\n"
       "                spans, engine round stages); BENCH outputs are\n"
@@ -80,8 +69,7 @@ int main(int argc, char** argv) {
 
   std::string path, json_path, csv_path, manifest_path, trace_path;
   campaign::CampaignOptions opt;
-  bool dry_run = false, quiet = false, shard_given = false;
-  bool heartbeat = false;
+  bool dry_run = false, quiet = false, heartbeat = false;
   for (int a = 1; a < argc; ++a) {
     const std::string flag = argv[a];
     auto next_value = [&](const char* what) -> const char* {
@@ -91,43 +79,30 @@ int main(int argc, char** argv) {
       }
       return argv[++a];
     };
+    // A non-negative int: "2x" is a usage error, not 2, and the range check
+    // runs on the long, before the cast could wrap 4294967297 to 1.
+    auto count = [&](const char* what) -> int {
+      const char* v = next_value(what);
+      char* end = nullptr;
+      const long value = std::strtol(v, &end, 10);
+      if (end == v || *end != '\0' || value < 0 || value > INT_MAX) {
+        std::fprintf(stderr, "%s expects a non-negative integer\n", what);
+        std::exit(2);
+      }
+      return static_cast<int>(value);
+    };
     if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
     else if (flag == "--quiet") quiet = true;
     else if (flag == "--dry-run") dry_run = true;
     else if (flag == "--resume") opt.resume = true;
-    else if (flag == "--workers") {
-      const char* v = next_value("--workers");
-      char* end = nullptr;
-      opt.workers = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || opt.workers < 0) {
-        std::fprintf(stderr, "--workers expects a non-negative integer\n");
-        return 2;
-      }
-    }
-    else if (flag == "--trial-threads") {
-      const char* v = next_value("--trial-threads");
-      char* end = nullptr;
-      opt.trial_threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || opt.trial_threads < 0) {
-        std::fprintf(stderr,
-                     "--trial-threads expects a non-negative integer\n");
-        return 2;
-      }
-    }
+    else if (flag == "--workers") opt.workers = count("--workers");
+    else if (flag == "--trial-threads")
+      opt.trial_threads = count("--trial-threads");
     else if (flag == "--trace") trace_path = next_value("--trace");
     else if (flag == "--heartbeat") heartbeat = true;
     else if (flag == "--json") json_path = next_value("--json");
     else if (flag == "--csv") csv_path = next_value("--csv");
     else if (flag == "--manifest") manifest_path = next_value("--manifest");
-    else if (flag == "--shard") {
-      try {
-        opt.shard = dist::parse_shard(next_value("--shard"));
-        shard_given = true;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--shard: %s\n", e.what());
-        return 2;
-      }
-    }
     else if (!flag.empty() && flag[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       usage(argv[0]);
@@ -137,16 +112,6 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) { usage(argv[0]); return 2; }
 
-  // Any explicit --shard — including the degenerate 0/1 a one-shard fleet
-  // passes — selects journal-only mode; aggregates belong to the merge.
-  const bool sharded = shard_given;
-  if (sharded && (!json_path.empty() || !csv_path.empty())) {
-    std::fprintf(stderr,
-                 "--shard runs emit no aggregates (--json/--csv): merge "
-                 "the shard manifests with campaign_fleet instead\n");
-    return 2;
-  }
-
   campaign::CampaignResult result;
   std::string name;
   try {
@@ -155,22 +120,16 @@ int main(int argc, char** argv) {
     if (json_path.empty()) json_path = "BENCH_campaign_" + name + ".json";
     if (csv_path.empty()) csv_path = "BENCH_campaign_" + name + "_trials.csv";
     if (manifest_path.empty())
-      manifest_path = sharded
-                          ? dist::shard_manifest_path(name, opt.shard)
-                          : "BENCH_campaign_" + name + ".manifest";
+      manifest_path = "BENCH_campaign_" + name + ".manifest";
     opt.manifest_path = manifest_path;
     // Both progress channels ride the same callback (it runs under the
     // scheduler lock, so the shared counters need no extra locking): the
     // human table line on stdout, the machine heartbeat line on stderr.
     std::shared_ptr<obs::HeartbeatEmitter> hb;
-    if (heartbeat) {
-      int owned = 0;
-      for (const auto& pt : campaign::expand_grid(spec))
-        if (dist::owns(opt.shard, pt.trial)) ++owned;
+    if (heartbeat)
       hb = std::make_shared<obs::HeartbeatEmitter>(
           stderr, "campaign", name,
-          sharded ? dist::to_string(opt.shard) : std::string(), owned);
-    }
+          static_cast<int>(campaign::expand_grid(spec).size()));
     if (!quiet || hb) {
       auto ok_count = std::make_shared<int>(0);
       opt.on_trial = [quiet, hb, ok_count](const campaign::TrialPoint& pt,
@@ -189,23 +148,12 @@ int main(int argc, char** argv) {
       };
     }
 
-    // opt is consumed next; keep the shard coordinates for the printouts.
-    const dist::ShardSpec shard = opt.shard;
     campaign::CampaignScheduler scheduler(std::move(spec), std::move(opt));
     if (dry_run) {
-      // A sharded dry run lists only the slice this process would run.
-      std::size_t owned = 0;
-      for (const auto& pt : scheduler.trials())
-        if (dist::owns(shard, pt.trial)) ++owned;
-      if (sharded)
-        std::printf("campaign '%s': shard %s owns %zu of %zu trials\n",
-                    name.c_str(), dist::to_string(shard).c_str(), owned,
-                    scheduler.trials().size());
-      else
-        std::printf("campaign '%s': %zu trials\n", name.c_str(), owned);
+      std::printf("campaign '%s': %zu trials\n", name.c_str(),
+                  scheduler.trials().size());
       TextTable table({"trial", "point", "rep", "seed", "values"});
       for (const auto& pt : scheduler.trials()) {
-        if (!dist::owns(shard, pt.trial)) continue;
         table.add_row({std::to_string(pt.trial), std::to_string(pt.point),
                        std::to_string(pt.rep), std::to_string(pt.seed),
                        describe_point(pt.values)});
@@ -224,25 +172,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign_runner: %s\n", e.what());
     return 2;
-  }
-
-  if (sharded) {
-    // A shard holds a partial matrix: aggregates would be meaningless, so
-    // only the journal leaves this process. campaign_fleet (or a
-    // --merge-only run over rsync'd manifests) produces the real outputs.
-    if (!quiet) {
-      std::printf(
-          "shard %s of campaign '%s': %d trials run, %d resumed — "
-          "journal %s\nmerge all %d shard manifests with campaign_fleet "
-          "to get aggregates\n",
-          dist::to_string(result.shard).c_str(), name.c_str(),
-          result.executed, result.recovered, manifest_path.c_str(),
-          result.shard.count);
-      std::printf("peak RSS: %.1f MiB\n",
-                  static_cast<double>(common::peak_rss_bytes()) /
-                      (1024.0 * 1024.0));
-    }
-    return result.all_ok() ? 0 : 1;
   }
 
   std::ofstream json_out(json_path);

@@ -153,11 +153,11 @@ int main(int argc, char** argv) {
   }
   // --heartbeat streams one {"hb":"engine",...} line per round to stderr:
   // done = rounds executed, total = the round cap, ok = 1 once movement
-  // stopped. Same schema campaign_fleet already consumes.
+  // stopped. Same schema as campaign_runner --heartbeat.
   std::unique_ptr<obs::HeartbeatEmitter> heartbeat;
   if (opt.heartbeat) {
     heartbeat = std::make_unique<obs::HeartbeatEmitter>(
-        stderr, "engine", "laacad_sim", /*shard=*/"", opt.rounds);
+        stderr, "engine", "laacad_sim", opt.rounds);
     cfg.on_round = [&heartbeat](const core::RoundMetrics& m) {
       heartbeat->tick(m.round, m.moved == 0 ? 1 : 0);
     };

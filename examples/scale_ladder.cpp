@@ -89,7 +89,7 @@ void usage(const char* argv0) {
       "  --trace PATH      per-rung Chrome trace JSON (suffix _n<nodes>)\n"
       "                    plus a per-stage breakdown in the summary\n"
       "  --heartbeat       stream one {\"hb\":\"ladder\",...} line per\n"
-      "                    finished rung to stderr (fleet monitor schema)\n",
+      "                    finished rung to stderr (obs heartbeat schema)\n",
       argv0);
 }
 
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     // results and BENCH bytes are identical with or without it
     const bool enforce_env = std::getenv("LAACAD_ENFORCE_BUDGET") != nullptr;
 
-    // --heartbeat emits one fleet-schema line per finished rung (a ladder
+    // --heartbeat emits one heartbeat line per finished rung (a ladder
     // rung is the natural progress unit — rounds inside a rung belong to
     // the engine's own --trace/--heartbeat story). `total` counts only the
     // rungs that will actually run under --max-nodes.
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
         if (max_nodes < 0 || std::atoll(value.c_str()) <= max_nodes)
           ++planned;
       hb = std::make_unique<obs::HeartbeatEmitter>(
-          stderr, "ladder", "scale_ladder", /*shard=*/"", planned);
+          stderr, "ladder", "scale_ladder", planned);
     }
     int rungs_done = 0;
     int rungs_ok = 0;

@@ -9,6 +9,7 @@
 // README; shipped examples live in scenarios/. By default the metrics land
 // in BENCH_scenario_<name>.json in the working directory. Exit status is 0
 // when the final redeployment restored full k-coverage.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -115,12 +116,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads expects a value\n");
         return 2;
       }
+      // Range-check the long before the cast: 4294967297 must not wrap
+      // to 1.
       char* end = nullptr;
-      threads = static_cast<int>(std::strtol(argv[++a], &end, 10));
-      if (end == argv[a] || *end != '\0' || threads < 0) {
+      const long value = std::strtol(argv[++a], &end, 10);
+      if (end == argv[a] || *end != '\0' || value < 0 || value > INT_MAX) {
         std::fprintf(stderr, "--threads expects a non-negative integer\n");
         return 2;
       }
+      threads = static_cast<int>(value);
     }
     else if (flag == "--json") {
       if (a + 1 >= argc) {

@@ -1,5 +1,6 @@
 #include "campaign/manifest.hpp"
 
+#include <climits>
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -76,14 +77,12 @@ std::string format_manifest_header(const ManifestHeader& header) {
   std::ostringstream ss;
   ss << kMagic << " fp=" << std::hex << header.fingerprint << std::dec
      << " trials=" << header.trials << " metrics=" << header.metrics;
-  if (header.shard.sharded())
-    ss << " shard=" << dist::to_string(header.shard);
   return ss.str();
 }
 
 std::optional<ManifestHeader> parse_manifest_header(const std::string& line) {
   const auto toks = specparse::tokenize(line);
-  if (toks.size() < 4 || toks.size() > 5 || toks[0] != kMagic)
+  if (toks.size() != 4 || toks[0] != kMagic)
     return std::nullopt;
   ManifestHeader header;
   {
@@ -97,19 +96,11 @@ std::optional<ManifestHeader> parse_manifest_header(const std::string& line) {
   const auto t = token_value(toks[2], "trials");
   const auto m = token_value(toks[3], "metrics");
   if (!t || !m || !parse_exact_long(*t, 10, &trials) ||
-      !parse_exact_long(*m, 10, &metrics) || trials < 0 || metrics < 0)
+      !parse_exact_long(*m, 10, &metrics) || trials < 0 || metrics < 0 ||
+      trials > INT_MAX || metrics > INT_MAX)
     return std::nullopt;
   header.trials = static_cast<int>(trials);
   header.metrics = static_cast<int>(metrics);
-  if (toks.size() == 5) {
-    const auto s = token_value(toks[4], "shard");
-    if (!s) return std::nullopt;
-    try {
-      header.shard = dist::parse_shard(*s);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
   return header;
 }
 
@@ -117,8 +108,6 @@ std::string describe_manifest_header(const ManifestHeader& header) {
   std::ostringstream ss;
   ss << "fp=" << std::hex << header.fingerprint << std::dec
      << " trials=" << header.trials << " metrics=" << header.metrics;
-  if (header.shard.sharded())
-    ss << " shard=" << dist::to_string(header.shard);
   return ss.str();
 }
 

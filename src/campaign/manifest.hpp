@@ -1,17 +1,12 @@
-// Manifest codec — the line format shared by the ResultStore journal and
-// the distribution layer's shard merge.
+// Manifest codec — the line format of the ResultStore journal.
 //
 // A manifest is a header line followed by one record per completed trial:
 //
-//   laacad.campaign.manifest.v1 fp=<hex> trials=<N> metrics=<M> [shard=<i>/<S>]
+//   laacad.campaign.manifest.v1 fp=<hex> trials=<N> metrics=<M>
 //   trial <index> <ok:0|1> <m1> ... <mM> [E<len> <error text>] ;
 //
-// The optional `shard=` token marks a per-shard journal produced by
-// `campaign_runner --shard i/S`: it records the shard coordinates so a
-// resume cannot silently continue the wrong shard and the merge can verify
-// the scheme. Unsharded manifests omit the token, which keeps them (and the
-// merged manifest, which is written unsharded) byte-compatible with the
-// pre-distribution format.
+// The header is exactly these four tokens; anything else (including a
+// fifth token) is not a header.
 //
 // Doubles use JsonWriter::number_to_string (shortest exact round-trip; NaN
 // prints as null); a failed trial's error text is journaled length-prefixed
@@ -27,31 +22,27 @@
 #include <string>
 
 #include "campaign/trial.hpp"
-#include "dist/partition.hpp"
 
 namespace laacad::campaign {
 
 /// Everything the header line encodes. Two manifests with equal headers
-/// journal trials of the same campaign identity and the same shard.
+/// journal trials of the same campaign identity.
 struct ManifestHeader {
   std::uint64_t fingerprint = 0;
-  int trials = 0;   ///< size of the *full* trial matrix, not the shard's
+  int trials = 0;   ///< size of the trial matrix
   int metrics = 0;  ///< metric_names().size() at write time
-  dist::ShardSpec shard;  ///< {0, 1} for unsharded manifests
 
   bool operator==(const ManifestHeader&) const = default;
 };
 
-/// Serialize the header line (no trailing newline). The shard token is
-/// emitted only for sharded headers.
+/// Serialize the header line (no trailing newline).
 std::string format_manifest_header(const ManifestHeader& header);
 
 /// Parse a header line; nullopt when the line is not a valid header
-/// (wrong magic, malformed fields, or out-of-range shard coordinates).
+/// (wrong magic, wrong token count, or malformed fields).
 std::optional<ManifestHeader> parse_manifest_header(const std::string& line);
 
-/// Describe a header for error messages: "fp=<hex> trials=N metrics=M
-/// shard=i/S" (shard only when sharded).
+/// Describe a header for error messages: "fp=<hex> trials=N metrics=M".
 std::string describe_manifest_header(const ManifestHeader& header);
 
 /// Serialize one trial record (no trailing newline).

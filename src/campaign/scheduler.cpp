@@ -101,29 +101,11 @@ void write_point_values(
 }  // namespace
 
 bool CampaignResult::all_ok() const {
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    if (!dist::owns(shard, static_cast<int>(i))) continue;
-    if (!trials[i].ok) return false;
-  }
-  return true;
+  return std::all_of(trials.begin(), trials.end(),
+                     [](const TrialResult& t) { return t.ok; });
 }
-
-namespace {
-
-/// Serializing a sharded result would emit default rows for every trial the
-/// shard never ran, silently poisoning the aggregates with fake failures.
-void require_full_matrix(const dist::ShardSpec& shard, const char* what) {
-  if (shard.sharded())
-    throw std::logic_error(
-        std::string(what) + " on a shard " + dist::to_string(shard) +
-        " result: a sharded run holds a partial trial matrix — merge the "
-        "shard manifests (dist::merge_manifests) and serialize that");
-}
-
-}  // namespace
 
 void CampaignResult::write_json(std::ostream& out) const {
-  require_full_matrix(shard, "write_json");
   JsonWriter w(out);
   w.begin_object();
   w.kv("schema", "laacad.campaign.v1");
@@ -212,7 +194,6 @@ void CampaignResult::write_json(std::ostream& out) const {
 }
 
 void CampaignResult::write_csv(std::ostream& out) const {
-  require_full_matrix(shard, "write_csv");
   const auto cell = [](const std::string& s) { return CsvWriter::escape(s); };
   out << "trial,point,rep,seed";
   for (const Axis& axis : spec.axes) out << ',' << cell(axis.key);
@@ -245,7 +226,6 @@ CampaignScheduler::CampaignScheduler(CampaignSpec spec, CampaignOptions opt)
         "campaign: trial_threads requires workers == 1 — parallelism goes "
         "either across trials (workers) or inside one (trial_threads), "
         "never both");
-  dist::validate(opt_.shard);
   points_ = expand_grid(spec_);
 }
 
@@ -255,7 +235,6 @@ CampaignResult CampaignScheduler::run() {
   header.fingerprint = fingerprint(spec_);
   header.trials = total;
   header.metrics = static_cast<int>(metric_names().size());
-  header.shard = opt_.shard;
   ResultStore store(opt_.manifest_path, header, opt_.resume);
 
   std::vector<TrialResult> results(points_.size());
@@ -266,14 +245,11 @@ CampaignResult CampaignScheduler::run() {
   }
   const int n_recovered = static_cast<int>(store.recovered().size());
 
-  // The shard's slice of the matrix (the whole matrix when unsharded),
-  // minus what the manifest already has.
-  const std::vector<int> owned = dist::shard_trials(opt_.shard, total);
+  // The matrix minus what the manifest already has.
   std::vector<int> pending;
-  pending.reserve(owned.size());
-  for (const int i : owned)
+  pending.reserve(points_.size());
+  for (int i = 0; i < total; ++i)
     if (!have[static_cast<std::size_t>(i)]) pending.push_back(i);
-  const int shard_total = static_cast<int>(owned.size());
 
   if (!pending.empty()) {
     // Dynamic trial queue over the deterministic pool: workers pull the
@@ -308,7 +284,7 @@ CampaignResult CampaignScheduler::run() {
                                   std::min(next.load(), pending.size())));
         if (opt_.on_trial)
           opt_.on_trial(pt, results[static_cast<std::size_t>(pt.trial)],
-                        done, shard_total);
+                        done, total);
       }
     };
     if (opt_.trial_threads != 1) {
@@ -326,9 +302,7 @@ CampaignResult CampaignScheduler::run() {
   out.spec = spec_;
   out.points = points_;
   out.trials = std::move(results);
-  out.shard = opt_.shard;
-  if (!opt_.shard.sharded())
-    out.groups = aggregate_groups(spec_, points_, out.trials);
+  out.groups = aggregate_groups(spec_, points_, out.trials);
   out.executed = static_cast<int>(pending.size());
   out.recovered = n_recovered;
   return out;

@@ -1,5 +1,5 @@
-// CampaignScheduler — shards a campaign's trial matrix across a pool of
-// workers and aggregates the streamed results.
+// CampaignScheduler — runs a campaign's trial matrix on a pool of workers
+// and aggregates the streamed results.
 //
 // Scheduling is dynamic (workers pull the next pending trial from a shared
 // atomic queue, so a long trial never blocks the rest of the matrix), but
@@ -18,7 +18,6 @@
 
 #include "campaign/spec.hpp"
 #include "campaign/trial.hpp"
-#include "dist/partition.hpp"
 
 namespace laacad::campaign {
 
@@ -37,14 +36,8 @@ struct CampaignOptions {
   std::string manifest_path;
   /// Retain per-trial round history in memory (never serialized).
   bool keep_history = false;
-  /// Run only the trials this shard owns (stride partition, see
-  /// dist/partition.hpp) and stamp the shard coordinates into the manifest
-  /// header. {0, 1} — the default — runs the whole matrix. A sharded run
-  /// produces a partial CampaignResult whose aggregates are meaningless;
-  /// merge the shard manifests (dist::merge_manifests) for the real ones.
-  dist::ShardSpec shard;
   /// Progress hook, called under the scheduler lock as each trial lands:
-  /// (point, result, completed count, total trials this shard owns).
+  /// (point, result, completed count, total trials in the matrix).
   std::function<void(const TrialPoint&, const TrialResult&, int, int)>
       on_trial;
   /// Observation hook for in-memory embedders (figure benches): called on
@@ -84,24 +77,18 @@ struct CampaignResult {
   std::vector<GroupAggregate> groups;  ///< by grid-point index
   int executed = 0;   ///< trials run now (rest recovered from the manifest)
   int recovered = 0;  ///< trials replayed from the manifest
-  /// Which slice of the matrix this result actually ran; trials the shard
-  /// does not own are default rows (trial == -1). {0, 1} = the full matrix.
-  dist::ShardSpec shard;
 
-  /// Every owned trial completed with verified final k-coverage. A sharded
-  /// result judges only its own slice.
+  /// Every trial completed with verified final k-coverage.
   bool all_ok() const;
 
   /// BENCH_campaign_<name>.json: config echo, axes, per-trial rows, grouped
   /// aggregates, summary. Execution details (worker count, resume split,
   /// manifest path) are never serialized — output is byte-identical across
-  /// worker counts and across interrupt/resume. Throws std::logic_error on
-  /// a sharded result: a partial matrix must be merged first
-  /// (dist::merge_manifests), never half-serialized.
+  /// worker counts and across interrupt/resume.
   void write_json(std::ostream& out) const;
 
   /// Trial log: one CSV row per trial (identity, axis values, ok, metrics),
-  /// in trial order. Same determinism and sharding contract as the JSON.
+  /// in trial order. Same determinism contract as the JSON.
   void write_csv(std::ostream& out) const;
 };
 

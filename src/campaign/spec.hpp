@@ -4,7 +4,7 @@
 // k, load-balance factor alpha, node count, deployment shape varied over
 // seeded repetitions. A campaign describes one such sweep declaratively and
 // expands it into a reproducible trial matrix that the CampaignScheduler
-// shards across workers.
+// runs on a pool of workers.
 //
 // The on-disk format is line-oriented `key value` pairs like scenarios/:
 //

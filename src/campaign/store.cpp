@@ -20,15 +20,14 @@ ResultStore::ResultStore(std::string path, ManifestHeader header, bool resume)
       } else {
         // A kill inside the open-truncate-write window leaves a *strict
         // prefix* of the header this store would itself write — possibly
-        // one that still parses (the shard token cut clean off reads as a
-        // valid unsharded header) — and, because that write is the
-        // journal's very first, nothing after it. Recover nothing and let
-        // the rewrite below restore a valid journal, so a crash-restart
-        // with --resume (what campaign_fleet does) never aborts on it.
-        // Content *after* a prefix line is the decisive signal that this
-        // is a complete foreign journal (e.g. pointing a shard at the
-        // full unsharded manifest, whose header is a prefix of the
-        // sharded one) — refuse rather than destroy its rows.
+        // one that still parses (with 19 metrics, "metrics=19" cut to
+        // "metrics=1" reads as a valid header) — and, because that write
+        // is the journal's very first, nothing after it. Recover nothing
+        // and let the rewrite below restore a valid journal, so a
+        // crash-restart with --resume never aborts on it. Content *after*
+        // a prefix line is the decisive signal that this is a complete
+        // foreign journal, not a torn one — refuse rather than destroy
+        // its rows.
         const bool strict_prefix =
             line.size() < expected_header.size() &&
             expected_header.compare(0, line.size(), line) == 0;
@@ -42,25 +41,13 @@ ResultStore::ResultStore(std::string path, ManifestHeader header, bool resume)
                 " does not match this campaign spec: expected " +
                 describe_manifest_header(header) + ", found " +
                 describe_manifest_header(*found) +
-                " (different sweep, trial count, metric schema, or shard) "
+                " (different sweep, trial count, or metric schema) "
                 "— delete it or drop --resume");
           throw std::runtime_error(
               "manifest " + path_ +
               " is not a campaign manifest — refusing to overwrite it "
               "(check the --manifest path)");
         }
-      }
-      // The header pinned this journal to one shard; a row the shard does
-      // not own cannot be a truncated tail (those stop the replay) — it is
-      // corruption or a renamed file, and trusting it would smuggle another
-      // shard's trials past the merge's overlap check.
-      for (const auto& [trial, r] : recovered_) {
-        if (!dist::owns(header.shard, trial))
-          throw std::runtime_error(
-              "manifest " + path_ + " records trial " +
-              std::to_string(trial) + ", which shard " +
-              dist::to_string(header.shard) +
-              " does not own — file corrupted or mixed up between shards");
       }
     }
   }

@@ -4,11 +4,10 @@
 // finish (flushed per line, under a mutex), so killing a campaign mid-run
 // loses at most the trials in flight. Re-running with resume replays the
 // manifest: rows whose header matches the current spec (fingerprint, trial
-// count, metric schema, shard coordinates) are trusted verbatim and their
-// trials are never re-executed — and because per-trial seeds derive from
-// trial identity, the final aggregates are byte-identical to an
-// uninterrupted run. The line format lives in campaign/manifest.hpp; the
-// shard partition scheme in dist/partition.hpp.
+// count, metric schema) are trusted verbatim and their trials are never
+// re-executed — and because per-trial seeds derive from trial identity, the
+// final aggregates are byte-identical to an uninterrupted run. The line
+// format lives in campaign/manifest.hpp.
 #pragma once
 
 #include <map>
@@ -26,13 +25,12 @@ class ResultStore {
   /// Opens the manifest at `path`. With `resume` an existing file is
   /// replayed into recovered() and then appended to; a parseable header
   /// that differs from `header` throws std::runtime_error reporting both
-  /// the expected and the found fingerprint/trial/metric/shard values —
-  /// resuming a different campaign (or the wrong shard) would silently mix
-  /// experiments. A missing, empty, or torn header (a kill inside the
-  /// open-truncate-write window) recovers nothing and is rewritten, like
-  /// any truncated tail, so crash-restarts with resume always go through.
-  /// A replayed row for a trial the header's shard does not own is
-  /// corruption, not truncation, and throws. Without `resume` the file is
+  /// the expected and the found fingerprint/trial/metric values — resuming
+  /// a different campaign would silently mix experiments. Any other
+  /// content throws too, leaving the file untouched. A missing, empty, or
+  /// torn header (a kill inside the open-truncate-write window) recovers
+  /// nothing and is rewritten, like any truncated tail, so crash-restarts
+  /// with resume always go through. Without `resume` the file is
   /// truncated. An empty `path` disables journaling entirely (in-memory
   /// embedders like benches).
   ResultStore(std::string path, ManifestHeader header, bool resume);

@@ -1,10 +1,11 @@
 // Minimal field scanner for *flat* single-line JSON objects — the shapes
-// this codebase emits itself (obs heartbeats, serve protocol messages):
+// this codebase emits itself (serve protocol messages, obs heartbeats):
 // one top-level object, string/number/bool values, no nesting relied upon.
 // Not a general JSON parser; `get_*` locates `"key":` at top level (escaped
 // quotes inside string bodies are skipped, so key matches never land inside
-// a value) and parses the value that follows. Shared by obs/heartbeat and
-// serve/protocol so both ends of every line format agree on one scanner.
+// a value) and parses the value that follows. serve/protocol reads requests
+// with it, and clients and tests read responses and heartbeats with it, so
+// both ends of every line format agree on one scanner.
 #pragma once
 
 #include <string>

@@ -10,7 +10,7 @@
 // Base rules (enforced everywhere unless allowed away):
 //   wall-clock ambient-rng ambient-env unordered-iter pragma-once
 // `extra` is how geometry/ and voronoi/ opt into float-arith; `allow` is
-// how obs/ and the serving/fleet timing sinks opt out of wall-clock. An
+// how obs/ and the serving timing sinks opt out of wall-clock. An
 // `allow` prefix names its justification in a trailing '#' comment — the
 // policy file is the written record of every directory-level exemption,
 // while `// lint:allow(rule): reason` pragmas (see rules.hpp) record the

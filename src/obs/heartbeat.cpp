@@ -3,22 +3,9 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/flatjson.hpp"
 #include "common/json_writer.hpp"
 
 namespace laacad::obs {
-
-namespace {
-
-constexpr std::string_view kPrefix = "{\"hb\":";
-
-// Field access goes through the shared flat-JSON scanner: the only string
-// values we emit are kind / name / shard, and name is JSON-escaped, so the
-// scanner's escaped-quote handling keeps key matches out of string bodies.
-using flatjson::get_number;
-using flatjson::get_string;
-
-}  // namespace
 
 std::string format_heartbeat(const Heartbeat& hb) {
   std::ostringstream out;
@@ -26,7 +13,6 @@ std::string format_heartbeat(const Heartbeat& hb) {
   w.begin_object();
   w.kv("hb", hb.kind);
   w.kv("name", hb.name);
-  if (!hb.shard.empty()) w.kv("shard", hb.shard);
   w.kv("done", hb.done);
   w.kv("total", hb.total);
   w.kv("ok", hb.ok);
@@ -43,40 +29,11 @@ std::string format_heartbeat(const Heartbeat& hb) {
   return s;
 }
 
-bool is_heartbeat_line(std::string_view line) {
-  return line.compare(0, kPrefix.size(), kPrefix) == 0;
-}
-
-bool parse_heartbeat(std::string_view line, Heartbeat* out) {
-  if (!is_heartbeat_line(line)) return false;
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-    line.remove_suffix(1);
-  Heartbeat hb;
-  if (!get_string(line, "hb", &hb.kind) || hb.kind.empty()) return false;
-  get_string(line, "name", &hb.name);
-  get_string(line, "shard", &hb.shard);
-  double v = 0.0;
-  if (get_number(line, "done", &v)) hb.done = static_cast<int>(v);
-  if (get_number(line, "total", &v)) hb.total = static_cast<int>(v);
-  if (get_number(line, "ok", &v)) hb.ok = static_cast<int>(v);
-  if (get_number(line, "live", &v)) hb.live = static_cast<int>(v);
-  if (get_number(line, "round", &v)) hb.round = static_cast<int>(v);
-  if (get_number(line, "epoch", &v)) hb.epoch = static_cast<std::int64_t>(v);
-  if (get_number(line, "queue", &v)) hb.queue = static_cast<int>(v);
-  if (get_number(line, "rate_per_s", &v)) hb.rate_per_s = v;
-  if (get_number(line, "eta_s", &v)) hb.eta_s = v;
-  if (get_number(line, "ts_ms", &v)) hb.ts_ms = static_cast<std::uint64_t>(v);
-  *out = std::move(hb);
-  return true;
-}
-
 HeartbeatEmitter::HeartbeatEmitter(std::FILE* sink, std::string kind,
-                                   std::string name, std::string shard,
-                                   int total)
+                                   std::string name, int total)
     : sink_(sink), start_(std::chrono::steady_clock::now()) {
   hb_.kind = std::move(kind);
   hb_.name = std::move(name);
-  hb_.shard = std::move(shard);
   hb_.total = total;
 }
 

@@ -3,9 +3,9 @@
 // A heartbeat is one line, one JSON object, first key `"hb"`, so a consumer
 // can classify a stream line with a prefix check and never has to scrape
 // human stdout. campaign_runner emits `"hb":"campaign"` lines as trials
-// land; campaign_fleet parses its children's heartbeats off the relay pipe
-// (instead of scraping their stdout tables) and emits `"hb":"fleet"` lines
-// carrying per-shard liveness.
+// land, laacad_sim `"engine"` lines per round, scale_ladder `"ladder"`
+// lines per rung, and laacad_serve `"serve"` lines (and answers `health`
+// with one).
 //
 // Heartbeats are observability output: they go to stderr (or whatever FILE*
 // the emitter was given), carry wall-clock fields (rate, ETA, epoch
@@ -18,20 +18,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 namespace laacad::obs {
 
-/// Parsed (or to-be-formatted) heartbeat. Numeric fields use -1 for
-/// "absent" on the parse side; NaN rate/eta serialize as null.
+/// One heartbeat to format. Optional fields at -1 are left off the line;
+/// NaN rate/eta serialize as null.
 struct Heartbeat {
-  std::string kind;   ///< "campaign" | "fleet" (extensible)
-  std::string name;   ///< campaign name
-  std::string shard;  ///< "i/N", or "" when unsharded
-  int done = 0;       ///< trials completed
-  int total = 0;      ///< trials this process owns
-  int ok = 0;         ///< completed trials that verified
-  int live = -1;      ///< fleet only: shards currently running
+  std::string kind;   ///< "campaign" | "engine" | "ladder" | "serve"
+  std::string name;   ///< campaign (or run) name
+  int done = 0;       ///< units completed (trials, rounds, rungs, events)
+  int total = 0;      ///< units planned
+  int ok = 0;         ///< completed units that verified
+  int live = -1;      ///< serve only: live nodes
   int round = -1;     ///< serve only: global rounds executed
   std::int64_t epoch = -1;  ///< serve only: published snapshot epoch
   int queue = -1;     ///< serve only: event-queue depth
@@ -41,17 +39,9 @@ struct Heartbeat {
 };
 
 /// One-line JSON serialization, `\n`-terminated. Key order is fixed and
-/// `hb` always leads, which is what makes the consumer's prefix check
-/// (`is_heartbeat_line`) sufficient.
+/// `hb` always leads, which is what makes a consumer's `{"hb":` prefix
+/// check sufficient.
 std::string format_heartbeat(const Heartbeat& hb);
-
-/// Cheap classifier: does this relay line claim to be a heartbeat?
-bool is_heartbeat_line(std::string_view line);
-
-/// Parse a heartbeat line (as produced by format_heartbeat). Returns false
-/// for anything else — including lines that pass is_heartbeat_line but are
-/// malformed, so a consumer can fall back to relaying them verbatim.
-bool parse_heartbeat(std::string_view line, Heartbeat* out);
 
 /// Stateful emitter: tracks elapsed wall-clock to derive rate and ETA, and
 /// writes each line atomically to `sink` (typically stderr). Not
@@ -60,7 +50,7 @@ bool parse_heartbeat(std::string_view line, Heartbeat* out);
 class HeartbeatEmitter {
  public:
   HeartbeatEmitter(std::FILE* sink, std::string kind, std::string name,
-                   std::string shard, int total);
+                   int total);
 
   /// Emit one heartbeat for `done` completed / `ok` verified trials.
   void tick(int done, int ok);

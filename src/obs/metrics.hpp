@@ -12,7 +12,7 @@
 //    totals are exact for *any* num_threads — the "only trustworthy when
 //    serial" caveat is gone.
 //  * Named gauges (peak RSS, queue depth): last-write-wins doubles behind a
-//    mutex, for heartbeats and stdout summaries. Gauges are wall-clock/
+//    mutex, for the serving `stats` verb and stdout summaries. Gauges are wall-clock/
 //    machine facts and must never enter byte-identical BENCH artifacts.
 //
 // Stage timers live with the tracer (obs/trace.hpp): a stage total is just
@@ -48,9 +48,9 @@ class CounterScope {
 };
 
 /// Process-wide named gauges. Small, mutex-guarded, meant for a handful of
-/// slowly changing values (queue depth, live shards) read by heartbeat
-/// emitters — not for per-event hot paths (that is what the counters are
-/// for).
+/// slowly changing values (queue depth, publish cost) read by the serving
+/// `stats` verb and stdout summaries — not for per-event hot paths (that
+/// is what the counters are for).
 class Registry {
  public:
   static Registry& instance();

@@ -27,7 +27,7 @@ struct SpanEvent {
   const char* name;     ///< string literal owned by the caller
   std::uint64_t ts_ns;  ///< relative to session start (wall-clock field)
   std::uint64_t dur_ns; ///< wall-clock field
-  std::int64_t arg;     ///< deterministic label (round, trial, shard, chunk)
+  std::int64_t arg;     ///< deterministic label (round, trial, phase, chunk)
   int depth;            ///< deterministic nesting depth on this thread
   bool has_arg;
 };

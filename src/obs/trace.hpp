@@ -1,6 +1,6 @@
 // Span tracer — Chrome trace-event / Perfetto-compatible timelines for the
-// whole stack: engine round stages, scenario phases, campaign trials, fleet
-// shard lifecycles.
+// whole stack: engine round stages, scenario phases, campaign trials, serving
+// request phases.
 //
 // Design constraints (the observability contract):
 //
@@ -21,7 +21,7 @@
 //    the emitted JSON for humans and Perfetto.
 //  * The tracer writes only to its own sink (the TRACE_*.json path given to
 //    start_trace) — never into BENCH_* artifacts, whose byte-identity
-//    across thread/worker/shard counts is the repo's core contract.
+//    across thread and worker counts is the repo's core contract.
 //
 // Span names must be string literals (or otherwise outlive the session):
 // the buffer stores the pointer, not a copy — that is what keeps the
@@ -56,7 +56,7 @@ inline bool enabled() {
 
 /// RAII span: records [construction, destruction) as one complete event on
 /// the calling thread. The optional integer argument is a deterministic
-/// label (round number, trial id, shard index) and lands in the event's
+/// label (round number, trial id, phase index) and lands in the event's
 /// args alongside the nesting depth. When the tracer is disabled both
 /// constructor and destructor reduce to a load+branch.
 class ScopedSpan {
@@ -89,8 +89,9 @@ class ScopedSpan {
 };
 
 /// Record a complete span from explicit steady-clock endpoints, for
-/// lifecycles that do not fit a C++ scope (a fleet shard's spawn-to-reap
-/// interval). Lands on the calling thread's buffer at its current depth.
+/// lifecycles that do not fit a C++ scope (a serving request's query and
+/// serialize phases, bounded by clock marks taken as the handler runs).
+/// Lands on the calling thread's buffer at its current depth.
 /// No-op when disabled.
 void emit_span(const char* name, std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1, std::int64_t arg);

@@ -224,7 +224,7 @@ std::string handle_stats(CoverageService& svc, PhaseDurations* d) {
 std::string handle_health(CoverageService& svc, PhaseDurations* d) {
   PhaseClock phase(d);
   // The health endpoint *is* the heartbeat schema — one line, `{"hb":...`,
-  // parseable by obs::parse_heartbeat like any fleet heartbeat stream.
+  // the same line `laacad_serve --heartbeat` streams.
   const obs::Heartbeat hb = svc.health();
   phase.serialize();
   std::string line = obs::format_heartbeat(hb);

@@ -231,8 +231,8 @@ void CoverageService::run_one_phase() {
     if (converged) break;
     if (publish_every_ > 0 && rounds_in_phase % publish_every_ == 0)
       publish(/*finalized=*/false, /*converged=*/false);
-    // Per-round beat: a supervisor watches a daemon the way it watches
-    // campaign shards — rounds done, events applied, epoch, queue depth.
+    // Per-round beat for a supervisor watching the daemon: rounds done,
+    // events applied, epoch, queue depth.
     if (heartbeat_) emit_heartbeat();
   }
   // One finalize per phase, always — finalize advances the provider epoch,

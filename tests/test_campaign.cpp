@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/manifest.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
@@ -174,6 +176,21 @@ epsilon 0.5
 max_rounds 150
 grid_resolution 8
 sweep alpha 0.6 1.0
+)";
+
+/// Cheapest real campaign, for tests that rerun the whole matrix per case.
+constexpr const char* kTinyCampaign = R"(
+name    tiny
+trials  2
+seed    3
+domain  square
+side    80
+deploy  uniform
+nodes   6
+k       1
+epsilon 0.5
+max_rounds 20
+grid_resolution 4
 )";
 
 CampaignResult run_campaign(const std::string& text, int workers,
@@ -453,6 +470,175 @@ TEST(CampaignResume, FreshRunTruncatesStaleManifest) {
   const CampaignResult fresh = run_campaign(kSmallCampaign, 1, path);
   EXPECT_EQ(fresh.recovered, 0);
   EXPECT_EQ(fresh.executed, 4);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The header a run of `text` journals under.
+std::string expected_header(const std::string& text) {
+  const CampaignSpec spec = parse_campaign_string(text);
+  ManifestHeader header;
+  header.fingerprint = fingerprint(spec);
+  header.trials = static_cast<int>(expand_grid(spec).size());
+  header.metrics = static_cast<int>(metric_names().size());
+  return format_manifest_header(header);
+}
+
+TEST(CampaignResume, ResumeReportsExpectedAndFoundValues) {
+  // Trial-count and fingerprint values of *both* manifests appear in the
+  // message, not just "mismatch".
+  const std::string path = testing::TempDir() + "campaign_values.manifest";
+  run_campaign(kSmallCampaign, 1, path);
+  std::string other_text = kSmallCampaign;
+  other_text += "sweep k 1 2\n";  // 8 trials instead of 4, new fingerprint
+  try {
+    run_campaign(other_text, 1, path, /*resume=*/true);
+    FAIL() << "expected mismatch error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    std::ostringstream expected_fp, found_fp;
+    expected_fp << std::hex << fingerprint(parse_campaign_string(other_text));
+    found_fp << std::hex << fingerprint(parse_campaign_string(kSmallCampaign));
+    EXPECT_NE(what.find("expected fp=" + expected_fp.str()),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("found fp=" + found_fp.str()), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("trials=8"), std::string::npos) << what;
+    EXPECT_NE(what.find("trials=4"), std::string::npos) << what;
+  }
+}
+
+TEST(CampaignResume, ResumeRefusesToOverwriteNonManifestFiles) {
+  // A mistyped --manifest path must never destroy data: only an empty file
+  // or a torn prefix of this campaign's own header (the crash window) is
+  // recoverable; arbitrary content is refused *before* the truncating
+  // reopen.
+  const std::string path = testing::TempDir() + "campaign_precious.txt";
+  const std::string content = "alpha,rounds\n0.6,42\n";
+  std::ofstream(path, std::ios::trunc) << content;
+  EXPECT_THROW(run_campaign(kTinyCampaign, 1, path, /*resume=*/true),
+               std::runtime_error);
+  EXPECT_EQ(read_file(path), content);  // untouched
+}
+
+TEST(CampaignResume, TornHeaderResumesFreshInsteadOfAborting) {
+  // A kill inside the open-truncate-write window leaves a strict prefix of
+  // the header with nothing after it: an empty file, a cut mid-magic, ...
+  // Every such cut must behave like a truncated tail — nothing recovered,
+  // the whole matrix rerun, a valid journal rewritten — never like a
+  // mismatch that aborts a crash-restart with --resume. That includes the
+  // prefixes that still parse as a header: with 19 metrics, "metrics=19"
+  // cut to "metrics=1" is one.
+  const std::string path = testing::TempDir() + "campaign_prefix.manifest";
+  const std::string header = expected_header(kTinyCampaign);
+  int parsing_prefixes = 0;
+  for (std::size_t len = 0; len < header.size(); ++len) {
+    const std::string prefix = header.substr(0, len);
+    if (parse_manifest_header(prefix)) ++parsing_prefixes;
+    std::ofstream(path, std::ios::trunc) << prefix;
+    CampaignResult result;
+    ASSERT_NO_THROW(result = run_campaign(kTinyCampaign, 1, path, true))
+        << "'" << prefix << "'";
+    EXPECT_EQ(result.recovered, 0) << prefix;
+    EXPECT_EQ(result.executed, 2) << prefix;
+    const auto lines = read_lines(path);
+    ASSERT_EQ(lines.size(), 3u) << prefix;  // header + 2 trials
+    EXPECT_EQ(lines[0], header) << prefix;
+  }
+  EXPECT_GE(parsing_prefixes, 1);
+}
+
+TEST(CampaignResume, StrictHeaderPrefixFollowedByRowsIsRefused) {
+  // Rows after a prefix line mean a complete journal whose header differs,
+  // not a torn one: resume refuses it and leaves the file byte-identical
+  // instead of destroying its rows.
+  const std::string full = testing::TempDir() + "campaign_rows_src.manifest";
+  const std::string path = testing::TempDir() + "campaign_rows.manifest";
+  run_campaign(kTinyCampaign, 1, full);
+  auto lines = read_lines(full);
+  ASSERT_EQ(lines.size(), 3u);
+  const std::string header = lines[0];
+  for (std::size_t len = 0; len < header.size(); ++len) {
+    lines[0] = header.substr(0, len);
+    write_lines(path, lines, true);
+    const std::string before = read_file(path);
+    EXPECT_THROW(run_campaign(kTinyCampaign, 1, path, true),
+                 std::runtime_error)
+        << "'" << lines[0] << "'";
+    EXPECT_EQ(read_file(path), before) << lines[0];
+  }
+}
+
+TEST(CampaignResume, LeftoverShardHeaderIsRefused) {
+  // Journals from the retired multi-process mode carry a fifth header
+  // token, `shard=i/N`. The header is exactly four tokens, so resume
+  // refuses such a file, with or without rows, and leaves it
+  // byte-identical.
+  const std::string full = testing::TempDir() + "campaign_shard_src.manifest";
+  const std::string path = testing::TempDir() + "campaign_shard.manifest";
+  run_campaign(kTinyCampaign, 1, full);
+  auto lines = read_lines(full);
+  ASSERT_EQ(lines.size(), 3u);
+  lines[0] += " shard=1/3";
+  EXPECT_FALSE(parse_manifest_header(lines[0]));
+  for (const bool with_rows : {false, true}) {
+    write_lines(path, with_rows ? lines : std::vector<std::string>{lines[0]},
+                true);
+    const std::string before = read_file(path);
+    EXPECT_THROW(run_campaign(kTinyCampaign, 1, path, true),
+                 std::runtime_error)
+        << "with_rows=" << with_rows;
+    EXPECT_EQ(read_file(path), before) << "with_rows=" << with_rows;
+  }
+}
+
+// ------------------------------------------------------- manifest codec ----
+
+TEST(ManifestCodec, HeaderRoundTripsSeededProperty) {
+  // format -> parse is the identity on every header, over random
+  // fingerprints and counts plus the range edges, and parse -> format
+  // restores the exact line.
+  Rng rng(20261018);
+  std::vector<ManifestHeader> headers = {
+      {0, 0, 0}, {~0ULL, INT_MAX, INT_MAX}, {1, 1, 19}};
+  for (int i = 0; i < 2000; ++i) {
+    ManifestHeader h;
+    h.fingerprint = rng.engine()();
+    h.trials = i % 2 ? rng.uniform_int(0, 64) : rng.uniform_int(0, INT_MAX);
+    h.metrics = i % 3 ? rng.uniform_int(0, 64) : rng.uniform_int(0, INT_MAX);
+    headers.push_back(h);
+  }
+  for (const ManifestHeader& h : headers) {
+    const std::string line = format_manifest_header(h);
+    const auto back = parse_manifest_header(line);
+    ASSERT_TRUE(back) << line;
+    EXPECT_EQ(*back, h) << line;
+    EXPECT_EQ(format_manifest_header(*back), line);
+  }
+
+  const std::string magic = "laacad.campaign.manifest.v1";
+  const std::vector<std::string> not_headers = {
+      "",
+      "not a header",
+      magic + " fp=zz trials=1 metrics=1",
+      magic + " fp= trials=1 metrics=1",
+      magic + " fp=1 trials=-1 metrics=1",
+      magic + " fp=1 trials=1x metrics=1",
+      magic + " fp=1 trials=2147483648 metrics=1",
+      magic + " fp=1 trials=1 metrics=4294967297",
+      magic + " fp=1 metrics=1 trials=1",
+      magic + " fp=1 trials=1",
+      magic + " fp=1 trials=1 metrics=1 shard=0/3",
+      "laacad.campaign.manifest.v2 fp=1 trials=1 metrics=1",
+  };
+  for (const std::string& bad : not_headers)
+    EXPECT_FALSE(parse_manifest_header(bad)) << bad;
 }
 
 // ------------------------------------------------------- scenario axis ----
