@@ -3,7 +3,8 @@
 # `--` is one argument vector with its words joined by "|". Cases are
 # chosen so that a binary which wrongly accepts one does a cheap run (a
 # --dry-run, or a ladder capped below its smallest rung) and exits with
-# some other status. Invoked by ctest:
+# some other status. Stdin is empty, so a daemon that wrongly accepts a
+# case in stdio mode reads end-of-input and stops. Invoked by ctest:
 #   cmake -DBIN=<binary> -P check_rejected_flags.cmake -- <case>...
 set(cases)
 set(after_dashes FALSE)
@@ -22,6 +23,7 @@ foreach(case IN LISTS cases)
   string(REPLACE "|" ";" args "${case}")
   execute_process(
     COMMAND ${BIN} ${args}
+    INPUT_FILE /dev/null
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(NOT rc EQUAL 2)
     string(REPLACE "|" " " shown "${case}")

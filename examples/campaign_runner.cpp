@@ -24,6 +24,7 @@
 #include <string>
 
 #include "campaign/scheduler.hpp"
+#include "common/specparse.hpp"
 #include "common/sysinfo.hpp"
 #include "common/table.hpp"
 #include "obs/heartbeat.hpp"
@@ -82,14 +83,13 @@ int main(int argc, char** argv) {
     // A non-negative int: "2x" is a usage error, not 2, and the range check
     // runs on the long, before the cast could wrap 4294967297 to 1.
     auto count = [&](const char* what) -> int {
-      const char* v = next_value(what);
-      char* end = nullptr;
-      const long value = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || value < 0 || value > INT_MAX) {
+      const auto value =
+          specparse::parse_flag_int(next_value(what), 0, INT_MAX);
+      if (!value) {
         std::fprintf(stderr, "%s expects a non-negative integer\n", what);
         std::exit(2);
       }
-      return static_cast<int>(value);
+      return static_cast<int>(*value);
     };
     if (flag == "--help" || flag == "-h") { usage(argv[0]); return 0; }
     else if (flag == "--quiet") quiet = true;

@@ -22,6 +22,7 @@
 //   ScenarioRunner and writes the same canonical state document. For any
 //   serve session:  serve --log L --state A; replay L --state B; cmp A B
 //   — byte-identical, at any thread count.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/specparse.hpp"
 #include "obs/trace.hpp"
 #include "scenario/spec.hpp"
 #include "serve/server.hpp"
@@ -170,15 +172,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // An integer in [lo, hi]: "20x" or 4294967298 exits 2 here, before any
+    // socket is bound or the service started.
+    auto integer = [&](long long lo, long long hi) {
+      const auto value = specparse::parse_flag_int(next(), lo, hi);
+      if (!value) {
+        std::fprintf(stderr,
+                     "laacad_serve: %s expects an integer in [%lld, %lld]\n",
+                     arg.c_str(), lo, hi);
+        std::exit(2);
+      }
+      return static_cast<int>(*value);
+    };
     if (arg == "--scn") opt.scn_path = next();
     else if (arg == "--replay") opt.replay_path = next();
     else if (arg == "--log") opt.log_path = next();
     else if (arg == "--state") opt.state_path = next();
     else if (arg == "--trace") opt.trace_path = next();
     else if (arg == "--stdio") opt.port = -1;
-    else if (arg == "--port") opt.port = std::atoi(next());
-    else if (arg == "--threads") opt.threads = std::atoi(next());
-    else if (arg == "--publish-every") opt.publish_every = std::atoi(next());
+    else if (arg == "--port") opt.port = integer(0, 65535);
+    else if (arg == "--threads") opt.threads = integer(0, INT_MAX);
+    else if (arg == "--publish-every") opt.publish_every = integer(0, INT_MAX);
     else if (arg == "--heartbeat") opt.heartbeat = true;
     else if (arg == "--quiet") opt.quiet = true;
     else if (arg == "--help" || arg == "-h") {

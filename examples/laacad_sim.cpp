@@ -10,6 +10,7 @@
 //              [--backend global|localized] [--max-hops H] [--noise SIGMA]
 //              [--threads T] [--svg PREFIX] [--csv FILE] [--trace FILE]
 //              [--heartbeat] [--quiet]
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <string>
 
 #include "common/csv.hpp"
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
@@ -72,24 +74,38 @@ bool parse(int argc, char** argv, Options& opt) {
     auto next = [&]() -> const char* {
       return a + 1 < argc ? argv[++a] : nullptr;
     };
+    // A non-negative int: "20x" is a usage error, not 20, and 4294967298
+    // is out of range rather than wrapped to 2.
+    auto count = [&](int& dst) {
+      const char* v = next();
+      const auto value =
+          v ? laacad::specparse::parse_flag_int(v, 0, INT_MAX) : std::nullopt;
+      if (!value) {
+        std::fprintf(stderr, "%s expects a non-negative integer\n",
+                     flag.c_str());
+        return false;
+      }
+      dst = static_cast<int>(*value);
+      return true;
+    };
     if (flag == "--help" || flag == "-h") return false;
     else if (flag == "--quiet") opt.quiet = true;
     else if (flag == "--heartbeat") opt.heartbeat = true;
     else if (flag == "--hole") opt.hole = true;
-    else if (flag == "--k") { if (auto* v = next()) opt.k = std::atoi(v); }
-    else if (flag == "--nodes") { if (auto* v = next()) opt.nodes = std::atoi(v); }
+    else if (flag == "--k") { if (!count(opt.k)) return false; }
+    else if (flag == "--nodes") { if (!count(opt.nodes)) return false; }
     else if (flag == "--seed") { if (auto* v = next()) opt.seed = std::strtoull(v, nullptr, 10); }
     else if (flag == "--alpha") { if (auto* v = next()) opt.alpha = std::atof(v); }
     else if (flag == "--epsilon") { if (auto* v = next()) opt.epsilon = std::atof(v); }
-    else if (flag == "--rounds") { if (auto* v = next()) opt.rounds = std::atoi(v); }
+    else if (flag == "--rounds") { if (!count(opt.rounds)) return false; }
     else if (flag == "--gamma") { if (auto* v = next()) opt.gamma = std::atof(v); }
     else if (flag == "--domain") { if (auto* v = next()) opt.domain = v; }
     else if (flag == "--side") { if (auto* v = next()) opt.side = std::atof(v); }
     else if (flag == "--deploy") { if (auto* v = next()) opt.deploy = v; }
     else if (flag == "--backend") { if (auto* v = next()) opt.backend = v; }
-    else if (flag == "--max-hops") { if (auto* v = next()) opt.max_hops = std::atoi(v); }
+    else if (flag == "--max-hops") { if (!count(opt.max_hops)) return false; }
     else if (flag == "--noise") { if (auto* v = next()) opt.noise = std::atof(v); }
-    else if (flag == "--threads") { if (auto* v = next()) opt.threads = std::atoi(v); }
+    else if (flag == "--threads") { if (!count(opt.threads)) return false; }
     else if (flag == "--svg") { if (auto* v = next()) opt.svg_prefix = v; }
     else if (flag == "--csv") { if (auto* v = next()) opt.csv_path = v; }
     else if (flag == "--trace") { if (auto* v = next()) opt.trace_path = v; }
@@ -108,10 +124,6 @@ int main(int argc, char** argv) {
   Options opt;
   if (!parse(argc, argv, opt)) {
     usage(argv[0]);
-    return 2;
-  }
-  if (opt.threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0 (0 = hardware)\n");
     return 2;
   }
 

@@ -42,6 +42,7 @@
 
 #include "campaign/scheduler.hpp"
 #include "common/perf_counters.hpp"
+#include "common/specparse.hpp"
 #include "common/sysinfo.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
@@ -175,15 +176,13 @@ int main(int argc, char** argv) {
     // A non-negative integer value, checked like campaign_runner's
     // --workers: "abc" or "2x" is a usage error, not 0 or 2.
     auto count = [&](long long max) -> long long {
-      const char* v = next();
-      char* end = nullptr;
-      const long long value = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || value < 0 || value > max) {
+      const auto value = laacad::specparse::parse_flag_int(next(), 0, max);
+      if (!value) {
         std::cerr << "scale_ladder: " << arg
                   << " expects a non-negative integer\n";
         std::exit(2);
       }
-      return value;
+      return *value;
     };
     if (arg == "--campaign") campaign_path = next();
     else if (arg == "--max-nodes") max_nodes = count(LLONG_MAX);

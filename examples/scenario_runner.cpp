@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/json_writer.hpp"
+#include "common/specparse.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
 #include "scenario/runner.hpp"
@@ -116,15 +117,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads expects a value\n");
         return 2;
       }
-      // Range-check the long before the cast: 4294967297 must not wrap
-      // to 1.
-      char* end = nullptr;
-      const long value = std::strtol(argv[++a], &end, 10);
-      if (end == argv[a] || *end != '\0' || value < 0 || value > INT_MAX) {
+      // Range-checked before the cast: 4294967297 must not wrap to 1.
+      const auto value = specparse::parse_flag_int(argv[++a], 0, INT_MAX);
+      if (!value) {
         std::fprintf(stderr, "--threads expects a non-negative integer\n");
         return 2;
       }
-      threads = static_cast<int>(value);
+      threads = static_cast<int>(*value);
     }
     else if (flag == "--json") {
       if (a + 1 >= argc) {

@@ -22,6 +22,7 @@
 // Exit status: 0 on a clean run, 1 if any protocol or transport errors
 // were tallied (CI treats a nonzero error count as failure), 2 on usage
 // or setup problems.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include <string>
 #include <thread>
 
+#include "common/specparse.hpp"
 #include "scenario/spec.hpp"
 #include "serve/bench.hpp"
 #include "serve/server.hpp"
@@ -107,7 +109,15 @@ int main(int argc, char** argv) {
     else if (arg == "--out") out_path = next();
     else if (arg == "--scn") scn_path = next();
     else if (arg == "--connect") connect = next();
-    else if (arg == "--threads") threads = std::atoi(next());
+    else if (arg == "--threads") {
+      const auto value = specparse::parse_flag_int(next(), 0, INT_MAX);
+      if (!value) {
+        std::fprintf(stderr,
+                     "serve_bench: --threads expects a non-negative integer\n");
+        return 2;
+      }
+      threads = static_cast<int>(*value);
+    }
     else if (arg == "--requests") requests = std::atol(next());
     else if (arg == "--rate") rate = std::atof(next());
     else if (arg == "--connections") connections = std::atol(next());
@@ -153,8 +163,11 @@ int main(int argc, char** argv) {
       if (colon == std::string::npos)
         throw std::runtime_error("--connect needs HOST:PORT");
       const std::string host = connect.substr(0, colon);
-      const int port = std::atoi(connect.c_str() + colon + 1);
-      result = serve::run_bench(wl, spec.side, host, port,
+      const auto port =
+          specparse::parse_flag_int(connect.c_str() + colon + 1, 0, 65535);
+      if (!port)
+        throw std::runtime_error("--connect port must be in [0, 65535]");
+      result = serve::run_bench(wl, spec.side, host, static_cast<int>(*port),
                                 /*shutdown_after=*/false);
     }
 

@@ -67,4 +67,14 @@ bool parse_bool(const std::string& s, int line, const std::string& key) {
   fail(line, "'" + key + "' expects a boolean, got '" + s + "'");
 }
 
+std::optional<long long> parse_flag_int(const char* v, long long lo,
+                                        long long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || value < lo || value > hi)
+    return std::nullopt;
+  return value;
+}
+
 }  // namespace laacad::specparse

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,5 +25,11 @@ int parse_int(const std::string& s, int line, const std::string& key);
 std::uint64_t parse_uint64(const std::string& s, int line,
                            const std::string& key);
 bool parse_bool(const std::string& s, int line, const std::string& key);
+
+/// Strict command-line integer: the whole of `v` must be one base-10
+/// integer in [lo, hi]. "2x", "" and out-of-range values (4294967297 is
+/// not wrapped to 1) give nullopt, which every tool treats as a usage error.
+std::optional<long long> parse_flag_int(const char* v, long long lo,
+                                        long long hi);
 
 }  // namespace laacad::specparse

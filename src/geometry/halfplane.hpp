@@ -28,7 +28,13 @@ struct HalfPlane {
 /// Half-plane of points at least as close to `keep` as to `other`
 /// (the perpendicular bisector, keeping keep's side). Requires
 /// keep != other; nearly coincident inputs are handled by the caller
-/// (see voronoi::SiteSet degeneracy handling).
-HalfPlane bisector_halfplane(Vec2 keep, Vec2 other);
+/// (see voronoi::SiteSet degeneracy handling). Inline: the order-k kernel
+/// builds one per (generator, candidate) pair.
+inline HalfPlane bisector_halfplane(Vec2 keep, Vec2 other) {
+  HalfPlane hp;
+  hp.point = midpoint(keep, other);
+  hp.normal = (other - keep).normalized();
+  return hp;
+}
 
 }  // namespace laacad::geom

@@ -67,10 +67,9 @@ BBox bounding_box(const Ring& ring) {
 bool contains_point(const Ring& ring, Vec2 p, double eps) {
   const std::size_t n = ring.size();
   if (n < 3) return false;
-  // Boundary proximity counts as inside.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
-  }
+  // The answer is (near boundary) || (crossing number odd), and both passes
+  // are pure, so the cheap crossing pass runs first and the hypot-backed
+  // boundary pass only decides the points it calls outside.
   bool inside = false;
   for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
     const Vec2 a = ring[i], b = ring[j];
@@ -80,7 +79,12 @@ bool contains_point(const Ring& ring, Vec2 p, double eps) {
       if (p.x < xint) inside = !inside;
     }
   }
-  return inside;
+  if (inside) return true;
+  // Boundary proximity counts as inside.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
+  }
+  return false;
 }
 
 double dist_to_boundary(const Ring& ring, Vec2 p) {
@@ -135,9 +139,12 @@ void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,
   auto push = [&](Vec2 v) {
     if (out.empty() || !almost_equal(out.back(), v, eps)) out.push_back(v);
   };
+  // Each vertex's signed distance is evaluated once and carried over as the
+  // next edge's start.
+  Vec2 a = ring[0];
+  double da = hp.signed_dist(a);
   for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 a = ring[i], b = ring[(i + 1) % n];
-    const double da = hp.signed_dist(a);
+    const Vec2 b = ring[i + 1 < n ? i + 1 : 0];
     const double db = hp.signed_dist(b);
     const bool ina = da <= eps, inb = db <= eps;
     if (ina) push(a);
@@ -147,6 +154,8 @@ void clip_ring_into(const Ring& ring, const HalfPlane& hp, Ring& out,
       const double t = da / (da - db);
       push(lerp(a, b, std::clamp(t, 0.0, 1.0)));
     }
+    a = b;
+    da = db;
   }
   while (out.size() >= 2 && almost_equal(out.front(), out.back(), eps))
     out.pop_back();

@@ -4,12 +4,6 @@
 
 namespace laacad::geom {
 
-Vec2 Vec2::normalized() const {
-  const double n = norm();
-  if (n < kEps) return {0.0, 0.0};
-  return {x / n, y / n};
-}
-
 Vec2 Vec2::rotated(double angle) const {
   const double c = std::cos(angle), s = std::sin(angle);
   return {x * c - y * s, x * s + y * c};
@@ -20,10 +14,6 @@ int orientation(Vec2 a, Vec2 b, Vec2 c, double eps) {
   if (v > eps) return 1;
   if (v < -eps) return -1;
   return 0;
-}
-
-bool almost_equal(Vec2 a, Vec2 b, double eps) {
-  return std::abs(a.x - b.x) <= eps && std::abs(a.y - b.y) <= eps;
 }
 
 std::ostream& operator<<(std::ostream& os, Vec2 v) {

@@ -34,7 +34,12 @@ struct Vec2 {
   constexpr double norm2() const { return x * x + y * y; }
 
   /// Unit vector in the same direction; returns (0,0) for the zero vector.
-  Vec2 normalized() const;
+  /// Inline: the order-k kernel normalizes one bisector per candidate test.
+  Vec2 normalized() const {
+    const double n = norm();
+    if (n < kEps) return {0.0, 0.0};
+    return {x / n, y / n};
+  }
 
   /// Counter-clockwise perpendicular (rotate by +90 degrees).
   constexpr Vec2 perp() const { return {-y, x}; }
@@ -67,8 +72,11 @@ constexpr Vec2 midpoint(Vec2 a, Vec2 b) { return (a + b) * 0.5; }
 /// turn, -1 for clockwise, 0 for (numerically) collinear.
 int orientation(Vec2 a, Vec2 b, Vec2 c, double eps = kEps);
 
-/// True when a and b coincide within `eps`.
-bool almost_equal(Vec2 a, Vec2 b, double eps = kEps);
+/// True when a and b coincide within `eps`. Inline: every clipped vertex
+/// is checked against its predecessor.
+inline bool almost_equal(Vec2 a, Vec2 b, double eps = kEps) {
+  return std::abs(a.x - b.x) <= eps && std::abs(a.y - b.y) <= eps;
+}
 
 std::ostream& operator<<(std::ostream& os, Vec2 v);
 

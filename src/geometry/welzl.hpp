@@ -17,7 +17,8 @@ namespace laacad::geom {
 
 /// Minimum enclosing circle of a point set (expected O(n), deterministic:
 /// the internal shuffle uses a fixed seed). Empty input yields an invalid
-/// circle (radius < 0).
-Circle min_enclosing_circle(std::vector<Vec2> points);
+/// circle (radius < 0). Safe to call concurrently: the shuffle buffer and
+/// the cached permutations are per thread.
+Circle min_enclosing_circle(const std::vector<Vec2>& points);
 
 }  // namespace laacad::geom

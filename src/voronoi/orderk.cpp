@@ -174,9 +174,19 @@ void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
 // The one probe primitive of the BFS and its seeders: k nearest sites to a
 // point, through the grid when one is available. Grid and brute answers are
 // exactly equal (shared canonical (dist2, index) order; property-tested).
+void nearest_gens(const std::vector<Vec2>& sites, const wsn::SpatialGrid* grid,
+                  Vec2 p, int k, std::vector<int>& out) {
+  if (grid)
+    grid->k_nearest(p, k, /*exclude=*/-1, out);
+  else
+    k_nearest_brute(sites, p, k, out);
+}
+
 std::vector<int> nearest_gens(const std::vector<Vec2>& sites,
                               const wsn::SpatialGrid* grid, Vec2 p, int k) {
-  return grid ? grid->k_nearest(p, k) : k_nearest_brute(sites, p, k);
+  std::vector<int> out;
+  nearest_gens(sites, grid, p, k, out);
+  return out;
 }
 
 // -------------------------------------------------------- visited cells ----
@@ -266,17 +276,27 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
 
   GenSetSeen visited(k);
   std::queue<std::vector<int>> queue;
-  auto push = [&](std::vector<int> gens) {
-    std::sort(gens.begin(), gens.end());
-    gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
-    if (static_cast<int>(gens.size()) != k) return;
+  // Candidate sets are canonicalized in one reused buffer and copied into
+  // the queue only when unseen: most probes re-find a visited cell.
+  std::vector<int> gens_buf;
+  auto push = [&]() {
+    std::sort(gens_buf.begin(), gens_buf.end());
+    gens_buf.erase(std::unique(gens_buf.begin(), gens_buf.end()),
+                   gens_buf.end());
+    if (static_cast<int>(gens_buf.size()) != k) return;
     if (restrict_to >= 0 &&
-        !std::binary_search(gens.begin(), gens.end(), restrict_to))
+        !std::binary_search(gens_buf.begin(), gens_buf.end(), restrict_to))
       return;
-    if (visited.insert(gens)) queue.push(std::move(gens));
+    if (visited.insert(gens_buf)) queue.push(gens_buf);
   };
-  auto probe_gens = [&](Vec2 p) { return nearest_gens(sites, grid, p, k); };
-  for (const auto& s : seeds) push(s);
+  auto push_probe = [&](Vec2 p) {
+    nearest_gens(sites, grid, p, k, gens_buf);
+    push();
+  };
+  for (const auto& s : seeds) {
+    gens_buf.assign(s.begin(), s.end());
+    push();
+  }
 
   CellScratch scratch;
   CellState st;
@@ -319,7 +339,7 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
       if (len >= 10.0 * delta) {
         const Vec2 probe = geom::midpoint(a, b) + outward * delta;
         if (!geom::contains_point(window, probe, 0.0)) continue;  // window edge
-        push(probe_gens(probe));
+        push_probe(probe);
       } else {
         // Sliver edge. The old kernel skipped these outright, which can
         // drop a neighbouring cell reachable only through the short edge; a
@@ -332,7 +352,7 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
         for (const double t : {0.25, 0.75}) {
           const Vec2 probe = a + edge * t + outward * off;
           if (!geom::contains_point(window, probe, 0.0)) continue;
-          push(probe_gens(probe));
+          push_probe(probe);
         }
       }
     }

@@ -96,21 +96,30 @@ std::vector<Vec2> separate_sites(std::vector<Vec2> positions, double min_sep) {
 
 std::vector<int> k_nearest_brute(const std::vector<Vec2>& sites, Vec2 q,
                                  int k) {
+  std::vector<int> idx;
+  k_nearest_brute(sites, q, k, idx);
+  return idx;
+}
+
+void k_nearest_brute(const std::vector<Vec2>& sites, Vec2 q, int k,
+                     std::vector<int>& idx) {
   // (dist2, index) keys: dist2 computed once per site instead of once per
   // sort comparison, and ties resolve by ascending index — the same
   // canonical order wsn::SpatialGrid::k_nearest produces, so grid and brute
   // answers agree exactly (property-tested in tests/test_wsn.cpp).
-  std::vector<std::pair<double, int>> keyed;
-  keyed.reserve(sites.size());
+  // The keyed buffer is per thread (safe for concurrent callers) and
+  // reused across calls; one past 1 MiB is released after the query.
+  thread_local std::vector<std::pair<double, int>> keyed;
+  keyed.clear();
   for (std::size_t i = 0; i < sites.size(); ++i)
     keyed.emplace_back(geom::dist2(sites[i], q), static_cast<int>(i));
   perf::counters().dist2_evals += keyed.size();
   const int kk = std::min<int>(k, static_cast<int>(sites.size()));
   std::partial_sort(keyed.begin(), keyed.begin() + kk, keyed.end());
-  std::vector<int> idx;
-  idx.reserve(static_cast<std::size_t>(kk));
+  idx.clear();
   for (int i = 0; i < kk; ++i) idx.push_back(keyed[static_cast<std::size_t>(i)].second);
-  return idx;
+  if (keyed.capacity() > (std::size_t{1} << 16))
+    std::vector<std::pair<double, int>>().swap(keyed);
 }
 
 int closer_count(const std::vector<Vec2>& sites, int i, Vec2 v) {

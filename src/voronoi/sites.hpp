@@ -31,6 +31,10 @@ std::vector<geom::Vec2> separate_sites(std::vector<geom::Vec2> positions,
 std::vector<int> k_nearest_brute(const std::vector<geom::Vec2>& sites,
                                  geom::Vec2 q, int k);
 
+/// Same answer, written into `out` (cleared first).
+void k_nearest_brute(const std::vector<geom::Vec2>& sites, geom::Vec2 q, int k,
+                     std::vector<int>& out);
+
 /// Number of sites strictly closer to v than sites[i] — the |S_i(v)| of
 /// Proposition 1. Membership test: v is in the dominating region of i iff
 /// this is <= k-1.

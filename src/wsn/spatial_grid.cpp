@@ -12,26 +12,37 @@ namespace laacad::wsn {
 
 using geom::Vec2;
 
+namespace {
+
+// Largest candidate buffer (1 MiB) a thread keeps between k_nearest calls.
+constexpr std::size_t kRetainedCandidates = std::size_t{1} << 16;
+
+}  // namespace
+
 SpatialGrid::SpatialGrid(const std::vector<Vec2>& points, double cell_size) {
   rebuild(points, cell_size);
 }
 
 void SpatialGrid::rebuild(const std::vector<Vec2>& points, double cell_size,
                           common::ThreadPool* pool) {
-  // Stage the AoS snapshot into the slot arrays unsorted, then re-bin over
-  // them in place. px_/py_ double as the staging buffer: the cell-id pass
-  // below reads coordinates by point index before any slot is written.
-  const std::size_t n = points.size();
-  std::vector<double> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = points[i].x;
-    ys[i] = points[i].y;
-  }
-  rebuild(xs.data(), ys.data(), n, cell_size, pool);
+  rebuild_from(
+      points.size(), cell_size, pool,
+      [&points](std::size_t i) { return points[i].x; },
+      [&points](std::size_t i) { return points[i].y; });
 }
 
 void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
                           double cell_size, common::ThreadPool* pool) {
+  rebuild_from(
+      n, cell_size, pool, [xs](std::size_t i) { return xs[i]; },
+      [ys](std::size_t i) { return ys[i]; });
+}
+
+// Both rebuild() overloads read coordinates through `x(i)`/`y(i)`, so an AoS
+// snapshot is binned straight from the caller's array: no staged SoA copy.
+template <class X, class Y>
+void SpatialGrid::rebuild_from(std::size_t n, double cell_size,
+                               common::ThreadPool* pool, X x, Y y) {
   n_ = n;
   cell_ = std::max(cell_size, 1e-6);
   if (n == 0) {
@@ -47,12 +58,12 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   // Bounding box: min/max are order-independent, so the chunked reduction
   // below matches the serial scan bit-for-bit regardless of thread count.
   const int nn = static_cast<int>(n);
-  double lo_x = xs[0], lo_y = ys[0], hi_x = xs[0], hi_y = ys[0];
-  for (int i = 1; i < nn; ++i) {
-    lo_x = std::min(lo_x, xs[i]);
-    lo_y = std::min(lo_y, ys[i]);
-    hi_x = std::max(hi_x, xs[i]);
-    hi_y = std::max(hi_y, ys[i]);
+  double lo_x = x(0), lo_y = y(0), hi_x = x(0), hi_y = y(0);
+  for (std::size_t i = 1; i < n; ++i) {
+    lo_x = std::min(lo_x, x(i));
+    lo_y = std::min(lo_y, y(i));
+    hi_x = std::max(hi_x, x(i));
+    hi_y = std::max(hi_y, y(i));
   }
   origin_ = Vec2{lo_x, lo_y};
   nx_ = std::max(1, static_cast<int>(std::ceil((hi_x - lo_x + 1e-9) / cell_)));
@@ -71,21 +82,22 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     // Serial count-then-scatter: cell histogram, exclusive scan, then one
     // ascending-index pass that drops every point into its cell's next free
     // slot — cell-major order, ascending index within a cell.
-    for (int i = 0; i < nn; ++i) {
-      const auto [cx, cy] = cell_of(xs[i], ys[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [cx, cy] = cell_of(x(i), y(i));
       const int c = cell_index(cx, cy);
-      cell_id_[static_cast<std::size_t>(i)] = c;
+      cell_id_[i] = c;
       ++cell_start_[static_cast<std::size_t>(c) + 1];
     }
     for (std::size_t c = 0; c < cells; ++c)
       cell_start_[c + 1] += cell_start_[c];
-    std::vector<int> cursor(cell_start_.begin(), cell_start_.end() - 1);
-    for (int i = 0; i < nn; ++i) {
-      const int c = cell_id_[static_cast<std::size_t>(i)];
-      const int slot = cursor[static_cast<std::size_t>(c)]++;
-      order_[static_cast<std::size_t>(slot)] = i;
-      px_[static_cast<std::size_t>(slot)] = xs[i];
-      py_[static_cast<std::size_t>(slot)] = ys[i];
+    cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int c = cell_id_[i];
+      const auto slot =
+          static_cast<std::size_t>(cursor_[static_cast<std::size_t>(c)]++);
+      order_[slot] = static_cast<int>(i);
+      px_[slot] = x(i);
+      py_[slot] = y(i);
     }
     return;
   }
@@ -98,7 +110,8 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   const auto chunk_bounds = [&](int t) {
     const long long b = static_cast<long long>(t) * nn / threads;
     const long long e = static_cast<long long>(t + 1) * nn / threads;
-    return std::pair<int, int>{static_cast<int>(b), static_cast<int>(e)};
+    return std::pair<std::size_t, std::size_t>{static_cast<std::size_t>(b),
+                                               static_cast<std::size_t>(e)};
   };
   std::vector<std::vector<int>> counts(
       static_cast<std::size_t>(threads));
@@ -106,10 +119,10 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     auto& mine = counts[static_cast<std::size_t>(t)];
     mine.assign(cells, 0);
     const auto [begin, end] = chunk_bounds(t);
-    for (int i = begin; i < end; ++i) {
-      const auto [cx, cy] = cell_of(xs[i], ys[i]);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto [cx, cy] = cell_of(x(i), y(i));
       const int c = cell_index(cx, cy);
-      cell_id_[static_cast<std::size_t>(i)] = c;
+      cell_id_[i] = c;
       ++mine[static_cast<std::size_t>(c)];
     }
   });
@@ -128,12 +141,13 @@ void SpatialGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   pool->run(threads, [&](int t) {
     auto& cursor = counts[static_cast<std::size_t>(t)];
     const auto [begin, end] = chunk_bounds(t);
-    for (int i = begin; i < end; ++i) {
-      const int c = cell_id_[static_cast<std::size_t>(i)];
-      const int slot = cursor[static_cast<std::size_t>(c)]++;
-      order_[static_cast<std::size_t>(slot)] = i;
-      px_[static_cast<std::size_t>(slot)] = xs[i];
-      py_[static_cast<std::size_t>(slot)] = ys[i];
+    for (std::size_t i = begin; i < end; ++i) {
+      const int c = cell_id_[i];
+      const auto slot =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(c)]++);
+      order_[slot] = static_cast<int>(i);
+      px_[slot] = x(i);
+      py_[slot] = y(i);
     }
   });
 }
@@ -225,7 +239,14 @@ void SpatialGrid::collect_within(Vec2 q, double radius,
 
 std::vector<int> SpatialGrid::k_nearest(Vec2 q, int k, int exclude) const {
   std::vector<int> out;
-  if (n_ == 0 || k <= 0) return out;
+  k_nearest(q, k, exclude, out);
+  return out;
+}
+
+void SpatialGrid::k_nearest(Vec2 q, int k, int exclude,
+                            std::vector<int>& out) const {
+  out.clear();
+  if (n_ == 0 || k <= 0) return;
   ++perf::counters().grid_queries;
   // Expanding-radius search. `cover` provably reaches every point from q
   // wherever q lies — also outside the points' bounding box, where the old
@@ -236,7 +257,9 @@ std::vector<int> SpatialGrid::k_nearest(Vec2 q, int k, int exclude) const {
   const double span_y = std::max(std::abs(q.y - origin_.y), std::abs(hi.y - q.y));
   const double cover = std::hypot(span_x, span_y) + cell_;
   double radius = cell_;
-  std::vector<std::pair<double, int>> cand;
+  // Per-thread candidate buffer: concurrent const callers never share it,
+  // and one query's storage is reused by the next on the same thread.
+  thread_local std::vector<std::pair<double, int>> cand;
   while (true) {
     gather(q, radius, exclude, cand);
     if (static_cast<int>(cand.size()) >= k || radius >= cover) break;
@@ -244,13 +267,18 @@ std::vector<int> SpatialGrid::k_nearest(Vec2 q, int k, int exclude) const {
   }
   // Every gathered candidate lies within `radius` and every missing point
   // lies beyond it, so once k candidates exist the k nearest are among
-  // them — no re-verification pass. One sort per query, by (dist2, index):
-  // the same canonical order (and tie-break) as vor::k_nearest_brute.
-  std::sort(cand.begin(), cand.end());
-  if (static_cast<int>(cand.size()) > k) cand.resize(static_cast<std::size_t>(k));
-  out.reserve(cand.size());
-  for (const auto& [d2, idx] : cand) out.push_back(idx);
-  return out;
+  // them — no re-verification pass. The first k by (dist2, index) — the
+  // same canonical order (and tie-break) as vor::k_nearest_brute; the keys
+  // are unique, so partial_sort's prefix equals a full sort's.
+  const auto kk = std::min(static_cast<std::size_t>(k), cand.size());
+  std::partial_sort(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(kk),
+                    cand.end());
+  out.reserve(kk);
+  for (std::size_t a = 0; a < kk; ++a) out.push_back(cand[a].second);
+  // Keep the per-thread buffer bounded: a rare huge query (a far-outside
+  // probe, a k near n) must not pin its storage for the thread's lifetime.
+  if (cand.capacity() > kRetainedCandidates)
+    std::vector<std::pair<double, int>>().swap(cand);
 }
 
 }  // namespace laacad::wsn

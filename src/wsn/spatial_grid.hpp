@@ -46,8 +46,7 @@ class SpatialGrid {
   void rebuild(const std::vector<geom::Vec2>& points, double cell_size,
                common::ThreadPool* pool = nullptr);
 
-  /// Same, over SoA coordinate arrays (the wsn::Network hot state) — skips
-  /// staging a vector<Vec2> copy of a million-point snapshot.
+  /// Same, over SoA coordinate arrays (the wsn::Network hot state).
   void rebuild(const double* xs, const double* ys, std::size_t n,
                double cell_size, common::ThreadPool* pool = nullptr);
 
@@ -67,8 +66,13 @@ class SpatialGrid {
   /// (ties broken by ascending index, matching vor::k_nearest_brute exactly).
   /// `exclude` (if >= 0) is skipped — used for "k nearest other nodes".
   /// Correct for any q, including query points outside the points' bounding
-  /// box (the Voronoi kernel probes just outside cell edges).
+  /// box (the Voronoi kernel probes just outside cell edges). Safe for
+  /// concurrent const callers: the candidate buffer is per thread.
   std::vector<int> k_nearest(geom::Vec2 q, int k, int exclude = -1) const;
+
+  /// Same answer, written into `out` (cleared first): lets a caller that
+  /// probes many points reuse one index buffer.
+  void k_nearest(geom::Vec2 q, int k, int exclude, std::vector<int>& out) const;
 
   std::size_t size() const { return n_; }
   double cell_size() const { return cell_; }
@@ -84,6 +88,9 @@ class SpatialGrid {
  private:
   std::pair<int, int> cell_of(double x, double y) const;
   int cell_index(int cx, int cy) const;
+  template <class X, class Y>
+  void rebuild_from(std::size_t n, double cell_size, common::ThreadPool* pool,
+                    X x, Y y);
   void gather(geom::Vec2 q, double radius, int exclude,
               std::vector<std::pair<double, int>>& out) const;
 
@@ -95,6 +102,7 @@ class SpatialGrid {
   std::vector<int> order_;         ///< slot -> original point index
   std::vector<int> cell_start_;    ///< nx_*ny_ + 1 slot offsets
   std::vector<int> cell_id_;       ///< rebuild scratch: point -> cell
+  std::vector<int> cursor_;        ///< rebuild scratch: next free slot per cell
 };
 
 }  // namespace laacad::wsn

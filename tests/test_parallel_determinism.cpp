@@ -6,9 +6,13 @@
 
 #include <vector>
 
+#include "common/thread_pool.hpp"
+#include "geometry/welzl.hpp"
 #include "laacad/engine.hpp"
 #include "laacad/region_provider.hpp"
+#include "voronoi/sites.hpp"
 #include "wsn/deployment.hpp"
+#include "wsn/spatial_grid.hpp"
 
 namespace laacad::core {
 namespace {
@@ -134,6 +138,53 @@ TEST(ParallelDeterminism, HardwareThreadCountAlsoIdentical) {
   autocfg.num_threads = 0;
   const RunRecord parallel = run_engine(d, initial, 70.0, autocfg);
   expect_bit_identical(reference, parallel, 0);
+}
+
+TEST(ParallelDeterminism, KernelQueryCachesAreThreadSafe) {
+  // min_enclosing_circle keeps its shuffle permutations and point buffer
+  // per thread, and the k-nearest queries their candidate buffers; pool
+  // workers calling them concurrently must reproduce the serial answers
+  // exactly (and run clean under TSan).
+  Rng rng(51);
+  std::vector<Vec2> sites;
+  for (int i = 0; i < 400; ++i)
+    sites.push_back({rng.uniform(0, 300), rng.uniform(0, 300)});
+  const wsn::SpatialGrid grid(sites, 20.0);
+
+  constexpr int kQueries = 600;
+  struct Answer {
+    geom::Circle mec;
+    std::vector<int> grid_knn, brute_knn;
+  };
+  auto answer = [&](int q) {
+    // Sizes 0..299 straddle the cached-permutation cap (256).
+    std::vector<Vec2> pts(sites.begin(), sites.begin() + (q * 7) % 300);
+    const Vec2 probe{static_cast<double>(q % 31) * 11.0 - 20.0,
+                     static_cast<double>(q % 17) * 19.0 - 10.0};
+    const int k = 1 + q % 9;
+    return Answer{geom::min_enclosing_circle(pts),
+                  grid.k_nearest(probe, k, /*exclude=*/q % 400),
+                  vor::k_nearest_brute(sites, probe, k)};
+  };
+
+  std::vector<Answer> serial;
+  for (int q = 0; q < kQueries; ++q) serial.push_back(answer(q));
+  for (const int threads : {2, 4}) {
+    common::ThreadPool pool(threads);
+    std::vector<Answer> parallel(kQueries);
+    pool.run(kQueries, [&](int q) {
+      parallel[static_cast<std::size_t>(q)] = answer(q);
+    });
+    for (int q = 0; q < kQueries; ++q) {
+      const Answer& want = serial[static_cast<std::size_t>(q)];
+      const Answer& got = parallel[static_cast<std::size_t>(q)];
+      EXPECT_EQ(got.mec.center.x, want.mec.center.x) << "q=" << q;
+      EXPECT_EQ(got.mec.center.y, want.mec.center.y) << "q=" << q;
+      EXPECT_EQ(got.mec.radius, want.mec.radius) << "q=" << q;
+      EXPECT_EQ(got.grid_knn, want.grid_knn) << "q=" << q;
+      EXPECT_EQ(got.brute_knn, want.brute_knn) << "q=" << q;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/rng.hpp"
 #include "geometry/polygon.hpp"
+#include "geometry/segment.hpp"
 
 namespace laacad::geom {
 namespace {
@@ -68,6 +73,78 @@ TEST(Polygon, ContainsPointConcave) {
   EXPECT_TRUE(contains_point(l, {0.5, 1.5}));
   EXPECT_TRUE(contains_point(l, {1.5, 0.5}));
   EXPECT_FALSE(contains_point(l, {1.5, 1.5}));  // the notch
+}
+
+// Oracle: the boundary pass first, then the crossing number. contains_point
+// runs the crossing pass first and the boundary pass only for points it
+// calls outside; the answer (near boundary || odd crossings) must be the
+// same boolean for every ring, point and eps.
+bool contains_point_boundary_first(const Ring& ring, Vec2 p, double eps) {
+  const std::size_t n = ring.size();
+  if (n < 3) return false;
+  for (std::size_t i = 0; i < n; ++i)
+    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
+  bool inside = false;
+  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
+    const Vec2 a = ring[i], b = ring[j];
+    if ((a.y > p.y) != (b.y > p.y)) {
+      const double t = (p.y - a.y) / (b.y - a.y);
+      if (p.x < a.x + t * (b.x - a.x)) inside = !inside;
+    }
+  }
+  return inside;
+}
+
+// Random ring: vertices at sorted random angles around `c`; a fixed radius
+// gives a convex ring, a per-vertex random radius a concave (star) one.
+Ring random_ring(laacad::Rng& rng, bool convex) {
+  const int n = rng.uniform_int(3, 24);
+  std::vector<double> angles;
+  for (int i = 0; i < n; ++i) angles.push_back(rng.uniform(0.0, 2.0 * M_PI));
+  std::sort(angles.begin(), angles.end());
+  const Vec2 c{rng.uniform(-5, 5), rng.uniform(-5, 5)};
+  const double r = rng.uniform(0.5, 10.0);
+  Ring ring;
+  for (double a : angles) {
+    const double ri = convex ? r : r * rng.uniform(0.2, 1.0);
+    ring.push_back(c + Vec2{std::cos(a), std::sin(a)} * ri);
+  }
+  if (rng.uniform01() < 0.5) std::reverse(ring.begin(), ring.end());
+  return ring;
+}
+
+TEST(Polygon, ContainsPointMatchesBoundaryFirstOracle) {
+  laacad::Rng rng(20240);
+  int inside = 0, outside = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Ring ring = random_ring(rng, /*convex=*/trial % 2 == 0);
+    const BBox bb = bounding_box(ring);
+    std::vector<Vec2> probes;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const Vec2 a = ring[i], b = ring[(i + 1) % ring.size()];
+      probes.push_back(a);                                   // vertex
+      probes.push_back(a + (b - a) * rng.uniform01());       // on an edge
+      probes.push_back(midpoint(a, b));                     // edge midpoint
+      // Crossing ordinate: the vertex's y, at x left of, on and right of it.
+      for (const double dx : {-1.0, -1e-9, 0.0, 1e-9, 1.0})
+        probes.push_back({a.x + dx, a.y});
+    }
+    for (int j = 0; j < 40; ++j)  // anywhere in and around the bbox
+      probes.push_back({rng.uniform(bb.lo.x - 1, bb.hi.x + 1),
+                        rng.uniform(bb.lo.y - 1, bb.hi.y + 1)});
+    for (const double eps : {0.0, kEps, 1e-3}) {
+      for (const Vec2 p : probes) {
+        const bool want = contains_point_boundary_first(ring, p, eps);
+        ASSERT_EQ(contains_point(ring, p, eps), want)
+            << "trial " << trial << " eps " << eps << " p (" << p.x << ", "
+            << p.y << ")";
+        ++(want ? inside : outside);
+      }
+    }
+  }
+  // Both answers occur often, so the comparison exercises both passes.
+  EXPECT_GT(inside, 10000);
+  EXPECT_GT(outside, 10000);
 }
 
 TEST(Polygon, DistToBoundaryAndProjection) {
