@@ -74,18 +74,29 @@ bool parse(int argc, char** argv, Options& opt) {
     auto next = [&]() -> const char* {
       return a + 1 < argc ? argv[++a] : nullptr;
     };
-    // A non-negative int: "20x" is a usage error, not 20, and 4294967298
-    // is out of range rather than wrapped to 2.
+    // Every value is parsed whole, and a missing one is a usage error:
+    // "20x" is not 20, 4294967298 is out of range rather than wrapped to 2,
+    // and "0.5x" is not 0.5.
+    auto refuse = [&](const char* what) {
+      std::fprintf(stderr, "%s expects %s\n", flag.c_str(), what);
+      return false;
+    };
     auto count = [&](int& dst) {
+      const auto v = laacad::specparse::parse_flag_int(next(), 0, INT_MAX);
+      if (!v) return refuse("a non-negative integer");
+      dst = static_cast<int>(*v);
+      return true;
+    };
+    auto real = [&](double& dst) {
+      const auto v = laacad::specparse::parse_flag_double(next());
+      if (!v) return refuse("a finite number");
+      dst = *v;
+      return true;
+    };
+    auto text = [&](std::string& dst) {
       const char* v = next();
-      const auto value =
-          v ? laacad::specparse::parse_flag_int(v, 0, INT_MAX) : std::nullopt;
-      if (!value) {
-        std::fprintf(stderr, "%s expects a non-negative integer\n",
-                     flag.c_str());
-        return false;
-      }
-      dst = static_cast<int>(*value);
+      if (!v) return refuse("a value");
+      dst = v;
       return true;
     };
     if (flag == "--help" || flag == "-h") return false;
@@ -94,21 +105,25 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--hole") opt.hole = true;
     else if (flag == "--k") { if (!count(opt.k)) return false; }
     else if (flag == "--nodes") { if (!count(opt.nodes)) return false; }
-    else if (flag == "--seed") { if (auto* v = next()) opt.seed = std::strtoull(v, nullptr, 10); }
-    else if (flag == "--alpha") { if (auto* v = next()) opt.alpha = std::atof(v); }
-    else if (flag == "--epsilon") { if (auto* v = next()) opt.epsilon = std::atof(v); }
+    else if (flag == "--seed") {
+      const auto v = laacad::specparse::parse_flag_uint64(next());
+      if (!v) return refuse("an unsigned 64-bit integer");
+      opt.seed = *v;
+    }
+    else if (flag == "--alpha") { if (!real(opt.alpha)) return false; }
+    else if (flag == "--epsilon") { if (!real(opt.epsilon)) return false; }
     else if (flag == "--rounds") { if (!count(opt.rounds)) return false; }
-    else if (flag == "--gamma") { if (auto* v = next()) opt.gamma = std::atof(v); }
-    else if (flag == "--domain") { if (auto* v = next()) opt.domain = v; }
-    else if (flag == "--side") { if (auto* v = next()) opt.side = std::atof(v); }
-    else if (flag == "--deploy") { if (auto* v = next()) opt.deploy = v; }
-    else if (flag == "--backend") { if (auto* v = next()) opt.backend = v; }
+    else if (flag == "--gamma") { if (!real(opt.gamma)) return false; }
+    else if (flag == "--domain") { if (!text(opt.domain)) return false; }
+    else if (flag == "--side") { if (!real(opt.side)) return false; }
+    else if (flag == "--deploy") { if (!text(opt.deploy)) return false; }
+    else if (flag == "--backend") { if (!text(opt.backend)) return false; }
     else if (flag == "--max-hops") { if (!count(opt.max_hops)) return false; }
-    else if (flag == "--noise") { if (auto* v = next()) opt.noise = std::atof(v); }
+    else if (flag == "--noise") { if (!real(opt.noise)) return false; }
     else if (flag == "--threads") { if (!count(opt.threads)) return false; }
-    else if (flag == "--svg") { if (auto* v = next()) opt.svg_prefix = v; }
-    else if (flag == "--csv") { if (auto* v = next()) opt.csv_path = v; }
-    else if (flag == "--trace") { if (auto* v = next()) opt.trace_path = v; }
+    else if (flag == "--svg") { if (!text(opt.svg_prefix)) return false; }
+    else if (flag == "--csv") { if (!text(opt.csv_path)) return false; }
+    else if (flag == "--trace") { if (!text(opt.trace_path)) return false; }
     else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;

@@ -23,9 +23,11 @@
 // were tallied (CI treats a nonzero error count as failure), 2 on usage
 // or setup problems.
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -92,8 +94,9 @@ int main(int argc, char** argv) {
   std::string wl_path, out_path = "BENCH_serve_latency.json", scn_path;
   std::string connect;
   int threads = -1;
-  long requests = -1, connections = -1, seed = -1;
-  double rate = -1.0;
+  std::optional<long long> requests, connections;
+  std::optional<std::uint64_t> seed;
+  std::optional<double> rate;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -118,10 +121,32 @@ int main(int argc, char** argv) {
       }
       threads = static_cast<int>(*value);
     }
-    else if (arg == "--requests") requests = std::atol(next());
-    else if (arg == "--rate") rate = std::atof(next());
-    else if (arg == "--connections") connections = std::atol(next());
-    else if (arg == "--seed") seed = std::atol(next());
+    else if (arg == "--requests" || arg == "--connections") {
+      auto& dst = arg == "--requests" ? requests : connections;
+      dst = specparse::parse_flag_int(next(), 0, INT_MAX);
+      if (!dst) {
+        std::fprintf(stderr,
+                     "serve_bench: %s expects a non-negative integer\n",
+                     arg.c_str());
+        return 2;
+      }
+    }
+    else if (arg == "--rate") {
+      rate = specparse::parse_flag_double(next());
+      if (!rate || *rate < 0.0) {
+        std::fprintf(stderr,
+                     "serve_bench: --rate expects a finite number >= 0\n");
+        return 2;
+      }
+    }
+    else if (arg == "--seed") {
+      seed = specparse::parse_flag_uint64(next());
+      if (!seed) {
+        std::fprintf(
+            stderr, "serve_bench: --seed expects an unsigned 64-bit integer\n");
+        return 2;
+      }
+    }
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
@@ -137,10 +162,10 @@ int main(int argc, char** argv) {
     serve::WorkloadSpec wl =
         wl_path.empty() ? serve::parse_workload_string(kDefaultWorkload)
                         : serve::load_workload_file(wl_path);
-    if (requests >= 0) wl.requests = static_cast<int>(requests);
-    if (rate >= 0.0) wl.rate = rate;
-    if (connections >= 0) wl.connections = static_cast<int>(connections);
-    if (seed >= 0) wl.seed = static_cast<std::uint64_t>(seed);
+    if (requests) wl.requests = static_cast<int>(*requests);
+    if (rate) wl.rate = *rate;
+    if (connections) wl.connections = static_cast<int>(*connections);
+    if (seed) wl.seed = *seed;
 
     scenario::ScenarioSpec spec =
         scn_path.empty() ? scenario::parse_scenario_string(kDefaultSpec)

@@ -31,6 +31,10 @@ struct KernelCounters {
   std::uint64_t grid_queries = 0;  ///< SpatialGrid within / k_nearest / collect
   std::uint64_t cells_built = 0;   ///< order-k cells constructed by the BFS
   std::uint64_t kernel_fallbacks = 0;  ///< grid kernel exhausted every site
+  /// The part of kernel_fallbacks whose first gather already held every
+  /// out-site (a small site set); the rest expanded without the bound
+  /// closing.
+  std::uint64_t kernel_fallbacks_first_gather = 0;
 
   void reset() { *this = KernelCounters{}; }
 
@@ -42,6 +46,7 @@ struct KernelCounters {
     grid_queries += o.grid_queries;
     cells_built += o.cells_built;
     kernel_fallbacks += o.kernel_fallbacks;
+    kernel_fallbacks_first_gather += o.kernel_fallbacks_first_gather;
   }
 
   /// Field-wise difference against an earlier snapshot of the same block.
@@ -55,6 +60,8 @@ struct KernelCounters {
     d.grid_queries = grid_queries - before.grid_queries;
     d.cells_built = cells_built - before.cells_built;
     d.kernel_fallbacks = kernel_fallbacks - before.kernel_fallbacks;
+    d.kernel_fallbacks_first_gather =
+        kernel_fallbacks_first_gather - before.kernel_fallbacks_first_gather;
     return d;
   }
 };

@@ -1,5 +1,6 @@
 #include "common/specparse.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -69,10 +70,32 @@ bool parse_bool(const std::string& s, int line, const std::string& key) {
 
 std::optional<long long> parse_flag_int(const char* v, long long lo,
                                         long long hi) {
+  if (v == nullptr) return std::nullopt;
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(v, &end, 10);
   if (end == v || *end != '\0' || errno == ERANGE || value < lo || value > hi)
+    return std::nullopt;
+  return value;
+}
+
+std::optional<std::uint64_t> parse_flag_uint64(const char* v) {
+  if (v == nullptr || !std::isdigit(static_cast<unsigned char>(*v)))
+    return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(v, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return static_cast<std::uint64_t>(value);
+}
+
+std::optional<double> parse_flag_double(const char* v) {
+  if (v == nullptr) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(value) ||
+      (errno == ERANGE && value == 0.0))
     return std::nullopt;
   return value;
 }

@@ -29,7 +29,17 @@ bool parse_bool(const std::string& s, int line, const std::string& key);
 /// Strict command-line integer: the whole of `v` must be one base-10
 /// integer in [lo, hi]. "2x", "" and out-of-range values (4294967297 is
 /// not wrapped to 1) give nullopt, which every tool treats as a usage error.
+/// So does a null `v` (a missing value), here and in the parsers below.
 std::optional<long long> parse_flag_int(const char* v, long long lo,
                                         long long hi);
+
+/// Strict command-line unsigned 64-bit integer: base-10 digits only, so
+/// "-1" is refused rather than wrapped, and so are "7abc" and 2^64.
+std::optional<std::uint64_t> parse_flag_uint64(const char* v);
+
+/// Strict command-line number: the whole of `v` must parse as one finite
+/// double. "0.5x", "nan", "inf" and overflowing or underflowing-to-zero
+/// values give nullopt.
+std::optional<double> parse_flag_double(const char* v);
 
 }  // namespace laacad::specparse

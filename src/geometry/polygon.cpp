@@ -82,7 +82,7 @@ bool contains_point(const Ring& ring, Vec2 p, double eps) {
   if (inside) return true;
   // Boundary proximity counts as inside.
   for (std::size_t i = 0; i < n; ++i) {
-    if (dist_point_segment(p, ring[i], ring[(i + 1) % n]) <= eps) return true;
+    if (within_segment_dist(p, ring[i], ring[(i + 1) % n], eps)) return true;
   }
   return false;
 }

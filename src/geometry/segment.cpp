@@ -17,6 +17,10 @@ double dist_point_segment(Vec2 p, Vec2 a, Vec2 b) {
   return dist(p, closest_point_on_segment(p, a, b));
 }
 
+bool within_segment_dist(Vec2 p, Vec2 a, Vec2 b, double eps) {
+  return dist_leq(p, closest_point_on_segment(p, a, b), eps);
+}
+
 std::optional<Vec2> line_intersection(Vec2 p, Vec2 pd, Vec2 q, Vec2 qd,
                                       double eps) {
   const double denom = cross(pd, qd);
@@ -35,10 +39,10 @@ std::optional<Vec2> segment_intersection(Vec2 p1, Vec2 p2, Vec2 q1, Vec2 q2,
     // other segment, if any.
     if (std::abs(cross(qp, r)) > eps) return std::nullopt;
     for (Vec2 cand : {q1, q2}) {
-      if (dist_point_segment(cand, p1, p2) <= eps) return cand;
+      if (within_segment_dist(cand, p1, p2, eps)) return cand;
     }
     for (Vec2 cand : {p1, p2}) {
-      if (dist_point_segment(cand, q1, q2) <= eps) return cand;
+      if (within_segment_dist(cand, q1, q2, eps)) return cand;
     }
     return std::nullopt;
   }

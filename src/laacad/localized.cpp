@@ -25,6 +25,22 @@ Ring ring_window(Vec2 center, double radius, const geom::BBox& bbox,
   return geom::intersect_halfplanes(std::move(win), walls);
 }
 
+// Unit vectors of the certificate's arc samples, built once per sample
+// count (per thread) with the expression the loop used to evaluate inline.
+const std::vector<Vec2>& arc_units(int samples) {
+  thread_local std::vector<Vec2> units;
+  thread_local int built_for = -1;
+  if (built_for != samples) {
+    units.clear();
+    for (int s = 0; s < samples; ++s) {
+      const double ang = 2.0 * M_PI * s / samples;
+      units.push_back({std::cos(ang), std::sin(ang)});
+    }
+    built_for = samples;
+  }
+  return units;
+}
+
 }  // namespace
 
 LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
@@ -77,25 +93,25 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
         i, rho, cfg.ideal_gather ? -1 : hops + cfg.hop_slack, stats);
 
     // Line 5-8 of Algorithm 2: is any point of the rho/2-circle still
-    // dominated by n_i?
+    // dominated by n_i? The count of closer nodes only matters up to k.
     bool enclosed = true;
-    for (int s = 0; s < cfg.arc_samples; ++s) {
-      const double ang = 2.0 * M_PI * s / cfg.arc_samples;
-      const Vec2 v = ui + Vec2{std::cos(ang), std::sin(ang)} * (rho / 2.0);
+    const std::vector<Vec2>& units = arc_units(cfg.arc_samples);
+    for (const Vec2 unit : units) {
+      const Vec2 v = ui + unit * (rho / 2.0);
       if (!domain.contains(v)) continue;  // A's boundary: natural boundary
       if (boundary.network_boundary) {
         // Restrict to the arc inside the region the network occupies.
-        bool inside_net = geom::dist(v, ui) <= reach;
+        bool inside_net = geom::dist_leq(v, ui, reach);
         for (int j : gathered) {
           if (inside_net) break;
-          inside_net = geom::dist(v, net.position(j)) <= reach;
+          inside_net = geom::dist_leq(v, net.position(j), reach);
         }
         if (!inside_net) continue;
       }
       int closer = 0;
       const double di = geom::dist(ui, v);
       for (int j : gathered) {
-        if (geom::dist(net.position(j), v) < di) ++closer;
+        if (geom::dist_less(net.position(j), v, di) && ++closer >= k) break;
       }
       if (closer < k) {  // v still dominated by n_i: expand further
         enclosed = false;
@@ -112,7 +128,7 @@ LocalizedRegion localized_region(const wsn::CommModel& comm, wsn::NodeId i,
     cells = compute_cells(rho);
     double maxd = 0.0;
     for (const auto& c : cells)
-      for (Vec2 v : c.poly) maxd = std::max(maxd, geom::dist(ui, v));
+      maxd = std::max(maxd, geom::max_dist(c.poly.begin(), c.poly.end(), ui));
     if (maxd < 0.5 * rho * (1.0 - 1e-9)) break;
   }
   out.rho = rho;

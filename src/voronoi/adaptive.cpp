@@ -30,7 +30,7 @@ Ring disk_bbox_window(Vec2 center, double radius, const geom::BBox& bbox,
 double max_region_vertex_dist(const std::vector<OrderKCell>& cells, Vec2 ref) {
   double m = 0.0;
   for (const OrderKCell& c : cells)
-    for (Vec2 v : c.poly) m = std::max(m, geom::dist(ref, v));
+    m = std::max(m, geom::max_dist(c.poly.begin(), c.poly.end(), ref));
   return m;
 }
 

@@ -18,13 +18,6 @@ using geom::Vec2;
 
 namespace {
 
-// Max distance from `ref` to any vertex of the ring.
-double max_vertex_dist(const Ring& ring, Vec2 ref) {
-  double m = 0.0;
-  for (Vec2 v : ring) m = std::max(m, geom::dist(ref, v));
-  return m;
-}
-
 // Probe offset used to identify the generator set across a cell edge:
 // relative to the local geometry scale.
 double probe_delta(const Ring& cell) {
@@ -53,10 +46,35 @@ struct CellState {
   double rv = 0;     // max distance from ref to any current cell vertex
 };
 
+// Max distance from a reference site to the window's vertices. Every cell
+// of one BFS starts from the same window, and seen from its centre the
+// circumscribed n-gon's vertices are all near ties, which geom::max_dist
+// settles with one hypot each; so the value is kept per reference site
+// (a dominating-region BFS sees few of them, the localized one only its
+// own node).
+class WindowReach {
+ public:
+  explicit WindowReach(const Ring& window) : window_(window) {}
+
+  double from(int site, Vec2 ref) {
+    for (const auto& [s, rv] : seen_)
+      if (s == site) return rv;
+    const double rv = geom::max_dist(window_.begin(), window_.end(), ref);
+    if (seen_.size() < kMaxSites) seen_.emplace_back(site, rv);
+    return rv;
+  }
+
+ private:
+  static constexpr std::size_t kMaxSites = 16;
+  const Ring& window_;
+  std::vector<std::pair<int, double>> seen_;
+};
+
 // Load the window into scratch.cur and derive the pruning state. Returns
 // false when the cell is trivially empty.
 bool init_cell(const std::vector<Vec2>& sites, const std::vector<int>& gens,
-               const Ring& window, CellScratch& s, CellState& st) {
+               const Ring& window, WindowReach& reach, CellScratch& s,
+               CellState& st) {
   s.cur.assign(window.begin(), window.end());
   if (s.cur.size() < 3 || gens.empty()) {
     s.cur.clear();
@@ -67,9 +85,20 @@ bool init_cell(const std::vector<Vec2>& sites, const std::vector<int>& gens,
   for (int h : gens)
     st.dmax_h =
         std::max(st.dmax_h, geom::dist(sites[static_cast<std::size_t>(h)], st.ref));
-  st.rv = max_vertex_dist(s.cur, st.ref);
+  st.rv = reach.from(gens.front(), st.ref);
   perf::counters().dist2_evals += gens.size() + s.cur.size();
   return true;
+}
+
+// The Lemma pruning test dist(uj, ref) - rv > rv + dmax_h. Compared as
+// dist(uj, ref) against rv + (rv + dmax_h), the 1e-12 tie margin of
+// geom::dist_sign also swamps the rounding of the sum and the difference,
+// so a decided sign is the test's answer; near ties evaluate it as written.
+bool beyond_bound(Vec2 uj, const CellState& st) {
+  const double lim = st.rv + st.dmax_h;
+  const int sign = geom::dist_sign(uj, st.ref, st.rv + lim);
+  if (sign != 0) return sign > 0;
+  return geom::dist(uj, st.ref) - st.rv > lim;
 }
 
 // Clip scratch.cur against the out-sites cand[from..to) (in the order
@@ -88,7 +117,7 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
     // dist(v, u_h) <= rv + dmax_h. If the former exceeds the latter for the
     // nearest remaining out-site, no later out-site can cut either.
     ++pc.dist2_evals;
-    if (geom::dist(uj, st.ref) - st.rv > st.rv + st.dmax_h) return true;
+    if (beyond_bound(uj, st)) return true;
     bool cut = false;
     for (int h : gens) {
       const HalfPlane hp =
@@ -108,7 +137,7 @@ bool clip_against(const std::vector<Vec2>& sites, const std::vector<int>& gens,
       if (s.cur.empty()) break;
     }
     if (cut) {
-      st.rv = max_vertex_dist(s.cur, st.ref);
+      st.rv = geom::max_dist(s.cur.begin(), s.cur.end(), st.ref);
       pc.dist2_evals += s.cur.size();
     }
   }
@@ -149,7 +178,7 @@ void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
   double bound = 2.0 * st.rv + st.dmax_h;
   double radius = std::min(bound, st.dmax_h + grid.cell_size());
   std::size_t processed = 0;
-  while (true) {
+  for (bool first_gather = true;; first_gather = false) {
     grid.collect_within(st.ref, radius, s.cand);
     // Drop the generators; the (dist2, index) order is preserved, and the
     // first `processed` entries match the previous, smaller gather exactly.
@@ -161,8 +190,11 @@ void cell_grid(const std::vector<Vec2>& sites, const wsn::SpatialGrid& grid,
     processed = s.cand.size();
     if (processed >= n_out) {
       // Bound never closed before the gather covered every out-site: the
-      // provable fallback to the exhaustive list.
-      ++perf::counters().kernel_fallbacks;
+      // provable fallback to the exhaustive list. When the first gather
+      // already held every out-site, the site set was simply small.
+      auto& pc = perf::counters();
+      ++pc.kernel_fallbacks;
+      if (first_gather) ++pc.kernel_fallbacks_first_gather;
       return;
     }
     bound = 2.0 * st.rv + st.dmax_h;
@@ -300,12 +332,13 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
 
   CellScratch scratch;
   CellState st;
+  WindowReach reach(window);
   auto& pc = perf::counters();
   while (!queue.empty()) {
     std::vector<int> gens = std::move(queue.front());
     queue.pop();
 
-    if (!init_cell(sites, gens, window, scratch, st)) continue;
+    if (!init_cell(sites, gens, window, reach, scratch, st)) continue;
     if (grid) {
       cell_grid(sites, *grid, gens, scratch, st);
 #ifndef NDEBUG
@@ -314,7 +347,7 @@ std::vector<OrderKCell> bfs_cells(const std::vector<Vec2>& sites, int k,
         // exhaustive kernel bit for bit.
         CellScratch ref_s;
         CellState ref_st;
-        init_cell(sites, gens, window, ref_s, ref_st);
+        init_cell(sites, gens, window, reach, ref_s, ref_st);
         cell_brute(sites, gens, ref_s, ref_st);
         assert(scratch.cur == ref_s.cur &&
                "grid-backed order-k cell diverged from the brute kernel");
@@ -422,7 +455,8 @@ Ring order_k_cell(const std::vector<Vec2>& sites,
                   const std::vector<int>& others_sorted, const Ring& window) {
   CellScratch s;
   CellState st;
-  if (!init_cell(sites, gens, window, s, st)) return {};
+  WindowReach reach(window);
+  if (!init_cell(sites, gens, window, reach, s, st)) return {};
   // Honour the caller-provided order exactly; the keys are unused.
   s.cand.clear();
   s.cand.reserve(others_sorted.size());

@@ -93,7 +93,7 @@ std::vector<int> CommModel::gather(NodeId i, double rho, int ttl,
       if (j == i) continue;
       // Same strict test the full-scan path applied, so the gathered set is
       // bit-identical (the grid query over-approximates with <=).
-      if (geom::dist(net_->position(j), ui) < rho) {
+      if (geom::dist_less(net_->position(j), ui, rho)) {
         s.member[static_cast<std::size_t>(j)] = epoch;
         ++wanted;
       }
@@ -129,7 +129,7 @@ std::vector<int> CommModel::gather(NodeId i, double rho, int ttl,
     for (int j = 0; j < net_->size(); ++j) {
       if (j == i) continue;
       if (d[static_cast<std::size_t>(j)] < 0) continue;
-      if (geom::dist(net_->position(j), ui) < rho) {
+      if (geom::dist_less(net_->position(j), ui, rho)) {
         out.push_back(j);
         deepest = std::max(deepest, d[static_cast<std::size_t>(j)]);
       }

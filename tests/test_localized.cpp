@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "coverage/critical.hpp"
 #include "coverage/grid_checker.hpp"
 #include "laacad/engine.hpp"
+#include "geometry/convex.hpp"
 #include "laacad/localized.hpp"
 #include "voronoi/adaptive.hpp"
 #include "voronoi/sites.hpp"
+#include "wsn/boundary.hpp"
 #include "wsn/deployment.hpp"
 
 namespace laacad::core {
@@ -17,6 +22,151 @@ double cells_area(const std::vector<vor::OrderKCell>& cells) {
   double a = 0.0;
   for (const auto& c : cells) a += c.area();
   return a;
+}
+
+// The Algorithm 2 loop as it read with a hypot per distance and an
+// unbounded closer count: the oracle for the squared-distance certificate.
+LocalizedRegion hypot_oracle_region(const wsn::CommModel& comm, wsn::NodeId i,
+                                    int k, const wsn::BoundaryInfo& boundary,
+                                    const LocalizedConfig& cfg, Rng& rng) {
+  LocalizedRegion out;
+  const wsn::Network& net = comm.network();
+  const wsn::Domain& domain = net.domain();
+  const Vec2 ui = net.position(i);
+  const double gamma = net.gamma();
+  const double reach = cfg.network_reach_factor * gamma;
+  const geom::BBox bbox = domain.bbox().inflated(1.0);
+  std::vector<int> gathered;
+  auto compute_cells = [&](double rho) {
+    const auto rel = wsn::local_frame(net, i, gathered, cfg.frame, rng);
+    std::vector<Vec2> sites;
+    sites.push_back(ui);
+    for (Vec2 r : rel) sites.push_back(ui + r);
+    sites = vor::separate_sites(std::move(sites));
+    const int k_eff = std::min<int>(k, static_cast<int>(sites.size()));
+    geom::Ring win = geom::circumscribed_ngon(ui, rho / 2.0,
+                                              cfg.disk_ngon_sides);
+    const std::vector<geom::HalfPlane> walls = {
+        {{bbox.hi.x, 0}, {1, 0}},
+        {{bbox.lo.x, 0}, {-1, 0}},
+        {{0, bbox.hi.y}, {0, 1}},
+        {{0, bbox.lo.y}, {0, -1}},
+    };
+    win = geom::intersect_halfplanes(std::move(win), walls);
+    return vor::dominating_region_cells(sites, 0, k_eff, win);
+  };
+  double rho = 0.0;
+  int hops = 0;
+  std::vector<vor::OrderKCell> cells;
+  while (true) {
+    rho += gamma;
+    ++hops;
+    if (hops > cfg.max_hops) {
+      rho -= gamma;
+      --hops;
+      out.capped = true;
+      if (rho > 0.0) cells = compute_cells(rho);
+      break;
+    }
+    gathered = comm.gather(i, rho, cfg.ideal_gather ? -1 : hops + cfg.hop_slack,
+                           nullptr);
+    bool enclosed = true;
+    for (int s = 0; s < cfg.arc_samples; ++s) {
+      const double ang = 2.0 * M_PI * s / cfg.arc_samples;
+      const Vec2 v = ui + Vec2{std::cos(ang), std::sin(ang)} * (rho / 2.0);
+      if (!domain.contains(v)) continue;
+      if (boundary.network_boundary) {
+        bool inside_net = geom::dist(v, ui) <= reach;
+        for (int j : gathered) {
+          if (inside_net) break;
+          inside_net = geom::dist(v, net.position(j)) <= reach;
+        }
+        if (!inside_net) continue;
+      }
+      int closer = 0;
+      const double di = geom::dist(ui, v);
+      for (int j : gathered) {
+        if (geom::dist(net.position(j), v) < di) ++closer;
+      }
+      if (closer < k) {
+        enclosed = false;
+        break;
+      }
+    }
+    if (!enclosed) continue;
+    cells = compute_cells(rho);
+    double maxd = 0.0;
+    for (const auto& c : cells)
+      for (Vec2 v : c.poly) maxd = std::max(maxd, geom::dist(ui, v));
+    if (maxd < 0.5 * rho * (1.0 - 1e-9)) break;
+  }
+  out.rho = rho;
+  out.hops = hops;
+  for (vor::OrderKCell& c : cells) {
+    for (int& g : c.gens)
+      g = (g == 0) ? static_cast<int>(i)
+                   : gathered[static_cast<std::size_t>(g) - 1];
+    std::sort(c.gens.begin(), c.gens.end());
+  }
+  out.cells = std::move(cells);
+  return out;
+}
+
+TEST(Localized, ArcCertificateMatchesHypotOracle) {
+  // Uniform, clustered and lattice (exact distance ties) deployments on
+  // convex and concave domains, interior and network-boundary verdicts, with
+  // and without localization noise: the regions must be bit-equal.
+  struct Case {
+    wsn::Domain domain;
+    std::vector<Vec2> pts;
+    double gamma;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed : {181u, 182u, 183u}) {
+    Rng rng(seed);
+    wsn::Domain sq = wsn::Domain::rectangle(200, 200);
+    cases.push_back({sq, wsn::deploy_uniform(sq, 90, rng), 35.0});
+    wsn::Domain ls = wsn::Domain::lshape(240, 240);
+    cases.push_back({ls, wsn::deploy_uniform(ls, 70, rng), 40.0});
+  }
+  {
+    wsn::Domain sq = wsn::Domain::rectangle(200, 200);
+    cases.push_back({sq, wsn::triangular_lattice(sq, 20.0), 22.0});
+  }
+  int compared = 0, boundary_nodes = 0;
+  for (const Case& c : cases) {
+    wsn::Network net(&c.domain, c.pts, c.gamma);
+    const wsn::CommModel comm(net);
+    const auto verdicts = wsn::detect_all_boundaries(net);
+    for (int i = 0; i < net.size(); i += 3) {
+      for (int k : {1, 2, 4}) {
+        for (double noise : {0.0, 0.02}) {
+          LocalizedConfig cfg;
+          cfg.max_hops = 6;
+          cfg.frame.range_noise = noise;
+          wsn::BoundaryInfo binfo = verdicts[static_cast<std::size_t>(i)];
+          if (i % 2 == 0) binfo.network_boundary = !binfo.network_boundary;
+          boundary_nodes += binfo.network_boundary ? 1 : 0;
+          Rng r1(1000 + i), r2(1000 + i);
+          const LocalizedRegion got =
+              localized_region(comm, i, k, binfo, cfg, nullptr, r1);
+          const LocalizedRegion want =
+              hypot_oracle_region(comm, i, k, binfo, cfg, r2);
+          ASSERT_EQ(got.rho, want.rho) << "node " << i << " k=" << k;
+          ASSERT_EQ(got.hops, want.hops) << "node " << i << " k=" << k;
+          ASSERT_EQ(got.capped, want.capped) << "node " << i << " k=" << k;
+          ASSERT_EQ(got.cells.size(), want.cells.size());
+          for (std::size_t a = 0; a < got.cells.size(); ++a) {
+            ASSERT_EQ(got.cells[a].gens, want.cells[a].gens);
+            ASSERT_EQ(got.cells[a].poly, want.cells[a].poly);  // bitwise
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(boundary_nodes, 200);
 }
 
 TEST(Localized, InteriorNodeMatchesGlobalRegion) {

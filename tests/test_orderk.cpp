@@ -480,6 +480,36 @@ TEST(GridKernel, HalvesDistanceEvalsOnFig6Config) {
   }
 }
 
+TEST(GridKernel, FallbacksSplitByFirstGather) {
+  // kernel_fallbacks counts cells whose bounded gather ended up holding
+  // every out-site; kernel_fallbacks_first_gather is the part where the
+  // first gather already did (a small site set).
+  auto& pc = laacad::perf::counters();
+  auto run = [&](const std::vector<Vec2>& sites, double cell) {
+    const wsn::SpatialGrid grid(sites, cell);
+    pc.reset();
+    const auto fast = dominating_region_cells(sites, grid, 0, 1, window100());
+    const auto brute = dominating_region_cells_brute(sites, 0, 1, window100());
+    ASSERT_EQ(fast.size(), brute.size());
+    for (std::size_t c = 0; c < brute.size(); ++c)
+      EXPECT_EQ(fast[c].poly, brute[c].poly);
+  };
+
+  // Four sites and a grid cell wider than the window: the first gather
+  // holds all three out-sites, and with none left over the bound cannot
+  // fire before the list ends.
+  run({{30, 30}, {70, 30}, {70, 70}, {30, 70}}, 1000.0);
+  EXPECT_EQ(pc.kernel_fallbacks, 1u);
+  EXPECT_EQ(pc.kernel_fallbacks_first_gather, 1u);
+
+  // Five sites on a line and a 1 m grid cell: the first gather holds no
+  // out-site, and the radius doubles until it holds all four while the
+  // cell's far corners keep the bound open.
+  run({{5, 50}, {15, 50}, {25, 50}, {35, 50}, {45, 50}}, 1.0);
+  EXPECT_EQ(pc.kernel_fallbacks, 1u);
+  EXPECT_EQ(pc.kernel_fallbacks_first_gather, 0u);
+}
+
 // -------------------------------------------- full-diagram enumeration ----
 
 TEST(EnumerateCells, PartitionOfWindow) {

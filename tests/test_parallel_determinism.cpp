@@ -9,8 +9,11 @@
 #include "common/thread_pool.hpp"
 #include "geometry/welzl.hpp"
 #include "laacad/engine.hpp"
+#include "laacad/localized.hpp"
 #include "laacad/region_provider.hpp"
 #include "voronoi/sites.hpp"
+#include "wsn/boundary.hpp"
+#include "wsn/comm.hpp"
 #include "wsn/deployment.hpp"
 #include "wsn/spatial_grid.hpp"
 
@@ -110,7 +113,7 @@ TEST(ParallelDeterminism, LocalizedProviderIdenticalAcrossThreadCounts) {
   const RunRecord reference = run_engine(d, initial, 60.0, serial);
   ASSERT_FALSE(reference.history.empty());
 
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 4, 8}) {
     LaacadConfig cfg = base;
     cfg.num_threads = threads;
     cfg.provider = make_localized_provider(cfg.localized, cfg.seed);
@@ -183,6 +186,52 @@ TEST(ParallelDeterminism, KernelQueryCachesAreThreadSafe) {
       EXPECT_EQ(got.mec.radius, want.mec.radius) << "q=" << q;
       EXPECT_EQ(got.grid_knn, want.grid_knn) << "q=" << q;
       EXPECT_EQ(got.brute_knn, want.brute_knn) << "q=" << q;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, LocalizedArcTableIsThreadSafe) {
+  // localized_region keeps its arc-sample unit vectors per thread and
+  // rebuilds them when the sample count changes; pool workers alternating
+  // sample counts must reproduce the serial regions exactly (and run clean
+  // under TSan).
+  wsn::Domain d = wsn::Domain::rectangle(200, 200);
+  Rng rng(52);
+  wsn::Network net(&d, wsn::deploy_uniform(d, 60, rng), 40.0);
+  const wsn::CommModel comm(net);
+  const std::vector<wsn::BoundaryInfo> verdicts =
+      wsn::detect_all_boundaries(net);
+
+  constexpr int kQueries = 240;
+  auto answer = [&](int q) {
+    LocalizedConfig cfg;
+    cfg.max_hops = 6;
+    cfg.arc_samples = q % 3 == 0 ? 72 : (q % 3 == 1 ? 36 : 90);
+    const int i = q % net.size();
+    Rng noise(static_cast<std::uint64_t>(q));
+    return localized_region(comm, i, 1 + q % 3,
+                            verdicts[static_cast<std::size_t>(i)], cfg,
+                            nullptr, noise);
+  };
+
+  std::vector<LocalizedRegion> serial;
+  for (int q = 0; q < kQueries; ++q) serial.push_back(answer(q));
+  for (const int threads : {2, 4}) {
+    common::ThreadPool pool(threads);
+    std::vector<LocalizedRegion> parallel(kQueries);
+    pool.run(kQueries, [&](int q) {
+      parallel[static_cast<std::size_t>(q)] = answer(q);
+    });
+    for (int q = 0; q < kQueries; ++q) {
+      const LocalizedRegion& want = serial[static_cast<std::size_t>(q)];
+      const LocalizedRegion& got = parallel[static_cast<std::size_t>(q)];
+      EXPECT_EQ(got.rho, want.rho) << "q=" << q << " threads=" << threads;
+      EXPECT_EQ(got.hops, want.hops) << "q=" << q;
+      ASSERT_EQ(got.cells.size(), want.cells.size()) << "q=" << q;
+      for (std::size_t c = 0; c < want.cells.size(); ++c) {
+        EXPECT_EQ(got.cells[c].gens, want.cells[c].gens) << "q=" << q;
+        EXPECT_EQ(got.cells[c].poly, want.cells[c].poly) << "q=" << q;
+      }
     }
   }
 }
