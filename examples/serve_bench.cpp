@@ -166,6 +166,8 @@ int main(int argc, char** argv) {
     if (rate) wl.rate = *rate;
     if (connections) wl.connections = static_cast<int>(*connections);
     if (seed) wl.seed = *seed;
+    // Refuse bad overrides before an in-process server thread exists.
+    serve::check_workload(wl);
 
     scenario::ScenarioSpec spec =
         scn_path.empty() ? scenario::parse_scenario_string(kDefaultSpec)

@@ -1,20 +1,18 @@
 #include "serve/bench.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <deque>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "common/flatjson.hpp"
 #include "common/json_writer.hpp"
@@ -23,7 +21,7 @@ namespace laacad::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using Clock = BenchClock;
 
 std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
   const auto d =
@@ -60,37 +58,9 @@ int connect_to(const std::string& host, int port) {
   return fd;
 }
 
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_line(int fd, std::string* buffer, std::string* line) {
-  for (;;) {
-    const auto nl = buffer->find('\n');
-    if (nl != std::string::npos) {
-      *line = buffer->substr(0, nl);
-      buffer->erase(0, nl + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buffer->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 /// A response is a protocol success if it says so — except `health`, whose
 /// response *is* a heartbeat line (`{"hb":...}`) rather than an ok object.
-bool response_ok(int op_idx, const std::string& response) {
+bool response_ok(int op_idx, std::string_view response) {
   if (op_idx >= 0 && kBenchOps[static_cast<std::size_t>(op_idx)] ==
                          std::string_view("health"))
     return response.rfind("{\"hb\"", 0) == 0;
@@ -98,116 +68,75 @@ bool response_ok(int op_idx, const std::string& response) {
   return flatjson::get_bool(response, "ok", &ok) && ok;
 }
 
-/// One in-flight request, pushed by the sender before the bytes leave and
-/// popped by the receiver in response order (the protocol answers in order
-/// per connection).
-struct Pending {
-  Clock::time_point sched;
-  Clock::time_point sent;
-  int op_idx;
+/// The loop's bookkeeping for one DriveConn. Requests [answered, next) are
+/// in flight; answers arrive in request order.
+struct Live {
+  std::size_t next = 0;
+  std::size_t answered = 0;
+  std::vector<Clock::time_point> sent;
+  std::string out;  ///< queued bytes; [0, out_off) already written
+  std::size_t out_off = 0;
+  std::string in;
+  bool closed = false;  ///< the socket failed or the server closed it
+  bool write_shut = false;
 };
 
-/// Per-connection accumulator; merged into BenchResult after join. Kept
-/// connection-local so the hot paths never share a cache line.
-struct ConnStats {
-  std::array<obs::Histogram, kBenchOps.size()> latency;
-  std::array<obs::Histogram, kBenchOps.size()> service;
-  std::array<std::uint64_t, kBenchOps.size()> ok{};
-  std::array<std::uint64_t, kBenchOps.size()> errors{};
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  std::uint64_t transport_errors = 0;
-  Clock::time_point first_send;  ///< scheduled time of the first request
-  Clock::time_point last_recv;
-};
-
-/// Open-loop worker pair for one connection: the sender honors the global
-/// schedule no matter how the server behaves; the receiver matches
-/// responses FIFO and charges each from its *scheduled* time.
-void run_open_loop(int fd, const std::vector<const ScheduledRequest*>& reqs,
-                   const std::vector<Clock::time_point>& times,
-                   ConnStats* stats) {
-  std::mutex mu;
-  std::deque<Pending> inflight;
-
-  std::thread receiver([&] {
-    std::string buffer, line;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!read_line(fd, &buffer, &line)) {
-        stats->transport_errors += reqs.size() - i;
-        return;
-      }
-      const Clock::time_point now = Clock::now();
-      Pending p;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        p = inflight.front();
-        inflight.pop_front();
-      }
-      ++stats->received;
-      stats->last_recv = now;
-      const auto op = static_cast<std::size_t>(p.op_idx);
-      if (response_ok(p.op_idx, line)) ++stats->ok[op];
-      else ++stats->errors[op];
-      stats->latency[op].record(ns_between(p.sched, now));
-      stats->service[op].record(ns_between(p.sent, now));
-    }
-  });
-
-  if (!times.empty()) stats->first_send = times[0];
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    std::this_thread::sleep_until(times[i]);
-    Pending p;
-    p.sched = times[i];
-    p.sent = Clock::now();
-    p.op_idx = op_index(reqs[i]->op);
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      inflight.push_back(p);
-    }
-    if (!write_all(fd, reqs[i]->line + "\n")) {
-      ++stats->transport_errors;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        inflight.pop_back();
-      }
-      break;
-    }
-    ++stats->sent;
-  }
-  ::shutdown(fd, SHUT_WR);  // receiver unblocks once responses run out
-  receiver.join();
-}
-
-/// Closed-loop worker: each request departs when the previous response is
-/// in, so scheduled == actual and latency == service time by construction.
-void run_closed_loop(int fd, const std::vector<const ScheduledRequest*>& reqs,
-                     ConnStats* stats) {
-  std::string buffer, line;
-  bool first = true;
-  for (const ScheduledRequest* req : reqs) {
-    const Clock::time_point sent = Clock::now();
-    if (first) {
-      stats->first_send = sent;
-      first = false;
-    }
-    if (!write_all(fd, req->line + "\n") || !read_line(fd, &buffer, &line)) {
-      ++stats->transport_errors;
+void flush(int fd, Live& l) {
+  while (l.out_off < l.out.size()) {
+    // MSG_NOSIGNAL: a server that went away is a transport error, not a
+    // SIGPIPE that kills the client.
+    const ssize_t n = ::send(fd, l.out.data() + l.out_off,
+                             l.out.size() - l.out_off, MSG_NOSIGNAL);
+    if (n > 0) {
+      l.out_off += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) l.closed = true;
       return;
     }
-    ++stats->sent;
-    const Clock::time_point now = Clock::now();
-    const int op_idx = op_index(req->op);
-    const auto op = static_cast<std::size_t>(op_idx);
-    ++stats->received;
-    stats->last_recv = now;
-    if (response_ok(op_idx, line)) ++stats->ok[op];
-    else ++stats->errors[op];
-    const std::uint64_t ns = ns_between(sent, now);
-    stats->latency[op].record(ns);
-    stats->service[op].record(ns);
   }
+  l.out.clear();
+  l.out_off = 0;
 }
+
+void receive(const DriveConn& c, Live& l,
+             const std::function<void(const DriveAnswer&)>& on_answer) {
+  char chunk[16384];
+  for (;;) {
+    const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      l.in.append(chunk, static_cast<std::size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      // EOF or a hard error ends the connection; EAGAIN ends this read.
+      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) l.closed = true;
+      break;
+    }
+  }
+  const Clock::time_point now = Clock::now();
+  std::size_t pos = 0;
+  for (std::size_t nl; (nl = l.in.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    if (l.answered == l.next) continue;  // a line nobody asked for
+    std::string_view line(l.in.data() + pos, nl - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    const std::size_t i = l.answered++;
+    on_answer({c.reqs[i], c.due.empty() ? l.sent[i] : c.due[i], l.sent[i],
+               now, line});
+  }
+  l.in.erase(0, pos);
+}
+
+/// Closes a drive's sockets on every path out of run_bench.
+struct CloseAll {
+  const std::vector<DriveConn>& conns;
+  ~CloseAll() {
+    for (const DriveConn& c : conns)
+      if (c.fd >= 0) ::close(c.fd);
+  }
+};
 
 void write_percentile_pair(JsonWriter& w, const BenchVerbStats& v) {
   w.begin_object();
@@ -226,8 +155,71 @@ void write_percentile_pair(JsonWriter& w, const BenchVerbStats& v) {
 
 }  // namespace
 
+DriveTotals drive_requests(
+    const std::vector<DriveConn>& conns,
+    const std::function<void(const DriveAnswer&)>& on_answer) {
+  constexpr std::size_t kMaxPendingBytes = 1 << 16;
+  DriveTotals totals;
+  std::vector<Live> live(conns.size());
+  std::vector<pollfd> pfds(conns.size());
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    ::fcntl(conns[i].fd, F_SETFL, ::fcntl(conns[i].fd, F_GETFL) | O_NONBLOCK);
+    live[i].sent.resize(conns[i].reqs.size());
+  }
+  for (;;) {
+    const Clock::time_point now = Clock::now();
+    Clock::time_point wake = now + std::chrono::milliseconds(100);
+    bool waiting = false;
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      const DriveConn& c = conns[i];
+      Live& l = live[i];
+      const bool open_loop = !c.due.empty();
+      while (!l.closed && l.next < c.reqs.size() &&
+             l.out.size() - l.out_off < kMaxPendingBytes &&
+             (open_loop ? c.due[l.next] <= now : l.answered == l.next)) {
+        l.sent[l.next] = now;
+        l.out += c.reqs[l.next]->line;
+        l.out += '\n';
+        ++l.next;
+        ++totals.sent;
+      }
+      if (!l.closed) flush(c.fd, l);
+      if (open_loop && l.next < c.reqs.size())
+        wake = std::min(wake, c.due[l.next]);
+      // Everything written: half-close so the server sees end of input.
+      if (!l.closed && !l.write_shut && l.next == c.reqs.size() &&
+          l.out.empty()) {
+        ::shutdown(c.fd, SHUT_WR);
+        l.write_shut = true;
+      }
+      waiting = waiting || (!l.closed && l.answered < c.reqs.size());
+      pfds[i].fd = l.closed ? -1 : c.fd;
+      pfds[i].events =
+          static_cast<short>(POLLIN | (l.out.empty() ? 0 : POLLOUT));
+      pfds[i].revents = 0;
+    }
+    if (!waiting) break;
+    const auto ns = std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(wake - now)
+               .count());
+    const timespec ts{static_cast<time_t>(ns / 1000000000),
+                      static_cast<long>(ns % 1000000000)};
+    if (::ppoll(pfds.data(), pfds.size(), &ts, nullptr) < 0 && errno != EINTR)
+      throw std::runtime_error("bench: ppoll failed");
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      if (pfds[i].revents & POLLOUT) flush(conns[i].fd, live[i]);
+      if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR))
+        receive(conns[i], live[i], on_answer);
+    }
+  }
+  for (std::size_t i = 0; i < conns.size(); ++i)
+    totals.unanswered += conns[i].reqs.size() - live[i].answered;
+  return totals;
+}
+
 BenchResult run_bench(const WorkloadSpec& spec, double side,
                       const std::string& host, int port, bool shutdown_after) {
+  check_workload(spec);
   BenchResult r;
   r.spec = spec;
   r.side = side;
@@ -240,79 +232,60 @@ BenchResult run_bench(const WorkloadSpec& spec, double side,
 
   // Round-robin the schedule across connections, preserving global order
   // within each connection.
-  const auto conns = static_cast<std::size_t>(spec.connections);
-  std::vector<std::vector<const ScheduledRequest*>> assigned(conns);
-  std::vector<std::vector<Clock::time_point>> times(conns);
-  std::vector<int> fds(conns, -1);
-  for (std::size_t c = 0; c < conns; ++c) fds[c] = connect_to(host, port);
-
-  // Schedule origin slightly in the future so every sender thread is
-  // already parked in sleep_until when request 0 comes due.
-  const Clock::time_point start =
-      Clock::now() + std::chrono::milliseconds(50);
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const std::size_t c = i % conns;
-    assigned[c].push_back(&schedule[i]);
-    if (spec.rate > 0.0)
-      times[c].push_back(start + std::chrono::nanoseconds(static_cast<
-                             std::int64_t>(1e9 * static_cast<double>(i) /
-                                           spec.rate)));
-  }
-
-  std::vector<ConnStats> stats(conns);
-  std::vector<std::thread> workers;
-  workers.reserve(conns);
-  for (std::size_t c = 0; c < conns; ++c) {
-    workers.emplace_back([&, c] {
-      if (spec.rate > 0.0)
-        run_open_loop(fds[c], assigned[c], times[c], &stats[c]);
-      else
-        run_closed_loop(fds[c], assigned[c], &stats[c]);
-    });
-  }
-  for (std::thread& t : workers) t.join();
-
-  // Wall clock spans the first (scheduled) send to the last receive.
-  Clock::time_point first_send = Clock::time_point::max();
-  Clock::time_point last_recv = Clock::time_point::min();
-  for (std::size_t c = 0; c < conns; ++c) {
-    const ConnStats& s = stats[c];
-    r.sent += s.sent;
-    r.received += s.received;
-    r.transport_errors += s.transport_errors;
-    if (s.sent > 0 && s.first_send < first_send) first_send = s.first_send;
-    if (s.received > 0 && s.last_recv > last_recv) last_recv = s.last_recv;
-    for (std::size_t op = 0; op < kBenchOps.size(); ++op) {
-      r.per_op[op].ok += s.ok[op];
-      r.per_op[op].errors += s.errors[op];
-      r.per_op[op].latency.merge(s.latency[op]);
-      r.per_op[op].service.merge(s.service[op]);
+  std::vector<DriveConn> conns(static_cast<std::size_t>(spec.connections));
+  {
+    const CloseAll closer{conns};
+    for (DriveConn& c : conns) c.fd = connect_to(host, port);
+    const Clock::time_point start = Clock::now();
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      DriveConn& c = conns[i % conns.size()];
+      c.reqs.push_back(&schedule[i]);
+      if (spec.rate > 0.0) {
+        const double offset_ns = 1e9 * static_cast<double>(i) / spec.rate;
+        c.due.push_back(start + std::chrono::nanoseconds(
+                                    static_cast<std::int64_t>(offset_ns)));
+      }
     }
-    ::close(fds[c]);
-  }
-  r.wall_s = last_recv > first_send
-                 ? static_cast<double>(ns_between(first_send, last_recv)) / 1e9
-                 : 0.0;
-  r.achieved_rate_per_s =
-      r.wall_s > 0.0 ? static_cast<double>(r.received) / r.wall_s : 0.0;
 
-  // Control epilogue on a fresh connection: make sure every churn event is
-  // applied, then capture the server-side breakdown.
-  const int ctl = connect_to(host, port);
-  std::string buffer, line;
-  if (write_all(ctl, "{\"op\":\"drain\"}\n") &&
-      read_line(ctl, &buffer, &line) &&
-      write_all(ctl, "{\"op\":\"stats\"}\n") &&
-      read_line(ctl, &buffer, &line)) {
-    r.final_stats = line;
-  } else {
-    ++r.transport_errors;
+    // Wall clock spans the first due time to the last receive.
+    Clock::time_point first_due = Clock::time_point::max();
+    Clock::time_point last_recv = Clock::time_point::min();
+    const DriveTotals totals = drive_requests(conns, [&](const DriveAnswer& a) {
+      const int idx = op_index(a.req->op);
+      BenchVerbStats& v = r.per_op[static_cast<std::size_t>(idx)];
+      ++r.received;
+      if (response_ok(idx, a.line)) ++v.ok;
+      else ++v.errors;
+      v.latency.record(ns_between(a.due, a.recv));
+      v.service.record(ns_between(a.sent, a.recv));
+      first_due = std::min(first_due, a.due);
+      last_recv = std::max(last_recv, a.recv);
+    });
+    r.sent = totals.sent;
+    r.transport_errors = totals.unanswered;
+    r.wall_s =
+        last_recv > first_due
+            ? static_cast<double>(ns_between(first_due, last_recv)) / 1e9
+            : 0.0;
+    r.achieved_rate_per_s =
+        r.wall_s > 0.0 ? static_cast<double>(r.received) / r.wall_s : 0.0;
   }
-  if (shutdown_after) {
-    if (write_all(ctl, "{\"op\":\"shutdown\"}\n"))
-      read_line(ctl, &buffer, &line);
-  }
-  ::close(ctl);
+
+  // Control epilogue, one more closed-loop connection: make sure every
+  // churn event is applied, then capture the server-side breakdown.
+  const std::vector<ScheduledRequest> control = {
+      {"drain", "{\"op\":\"drain\"}"},
+      {"stats", "{\"op\":\"stats\"}"},
+      {"shutdown", "{\"op\":\"shutdown\"}"}};
+  std::vector<DriveConn> ctl(1);
+  const CloseAll closer{ctl};
+  ctl[0].fd = connect_to(host, port);
+  for (std::size_t i = 0; i < (shutdown_after ? 3u : 2u); ++i)
+    ctl[0].reqs.push_back(&control[i]);
+  r.transport_errors +=
+      drive_requests(ctl, [&](const DriveAnswer& a) {
+        if (a.req->op == "stats") r.final_stats = a.line;
+      }).unanswered;
   return r;
 }
 

@@ -72,6 +72,15 @@ void parse_churn(WorkloadSpec* spec, const std::vector<std::string>& tokens,
 
 }  // namespace
 
+void check_workload(const WorkloadSpec& spec) {
+  if (spec.requests < 1)
+    throw std::runtime_error("workload: requests must be >= 1");
+  if (spec.rate < 0.0)
+    throw std::runtime_error("workload: rate must be >= 0");
+  if (spec.connections < 1)
+    throw std::runtime_error("workload: connections must be >= 1");
+}
+
 WorkloadSpec parse_workload_string(const std::string& text) {
   WorkloadSpec spec;
   std::istringstream in(text);
@@ -102,12 +111,7 @@ WorkloadSpec parse_workload_string(const std::string& text) {
     else if (key == "knn_k") spec.knn_k = parse_int(value, line_no, key);
     else fail(line_no, "unknown workload key '" + key + "'");
   }
-  if (spec.requests < 1)
-    throw std::runtime_error("workload: requests must be >= 1");
-  if (spec.rate < 0.0)
-    throw std::runtime_error("workload: rate must be >= 0");
-  if (spec.connections < 1)
-    throw std::runtime_error("workload: connections must be >= 1");
+  check_workload(spec);
   if (spec.knn_k < 1) throw std::runtime_error("workload: knn_k must be >= 1");
   if (spec.mix_knn + spec.mix_coverage + spec.mix_load + spec.mix_stats +
           spec.mix_health <=

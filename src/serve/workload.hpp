@@ -61,6 +61,10 @@ struct ScheduledRequest {
   std::string line;  ///< the JSON request line to send (no newline)
 };
 
+/// Throws unless requests >= 1, rate >= 0 and connections >= 1 — the
+/// fields a command line can override after parsing.
+void check_workload(const WorkloadSpec& spec);
+
 WorkloadSpec parse_workload_string(const std::string& text);
 WorkloadSpec load_workload_file(const std::string& path);
 

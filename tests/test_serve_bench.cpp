@@ -2,9 +2,14 @@
 // loudly, the expanded request schedule is a pure function of the spec,
 // and a full bench run against an in-process daemon over real loopback TCP
 // produces a report whose "deterministic" subtree is byte-identical across
-// runs and across engine thread counts — while the run itself completes
-// with zero protocol and transport errors.
+// runs and across engine thread counts, in the closed and the open loop —
+// while the run itself completes with zero protocol and transport errors.
+// A server that hangs up on every connection costs each request a
+// transport error instead of hanging the driver.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <map>
@@ -133,8 +138,9 @@ TEST(Workload, ScheduleIsAPureFunctionOfSpec) {
 // ------------------------------------------------------- full TCP run ----
 
 /// One complete bench pass against a fresh in-process daemon at the given
-/// engine thread count; returns the rendered report document.
-std::string run_report(int num_threads) {
+/// engine thread count and offered rate (0 = closed loop); returns the
+/// rendered report document.
+std::string run_report(int num_threads, double rate) {
   scenario::ScenarioSpec spec = scenario::parse_scenario_string(kBaseSpec);
   spec.num_threads = num_threads;
   const double side = spec.side;
@@ -146,12 +152,13 @@ std::string run_report(int num_threads) {
   TcpServer server(svc, /*port=*/0);
   std::thread server_thread([&] { server.serve(); });
 
-  const WorkloadSpec wl = parse_workload_string(kTestWorkload);
+  WorkloadSpec wl = parse_workload_string(kTestWorkload);
+  wl.rate = rate;
   const BenchResult result =
       run_bench(wl, side, "127.0.0.1", server.port(), /*shutdown_after=*/true);
   server_thread.join();
 
-  // A healthy closed-loop run answers everything, correctly.
+  // A healthy run answers everything, correctly.
   EXPECT_EQ(result.transport_errors, 0u);
   std::uint64_t ok = 0, errors = 0, scheduled = 0;
   for (const BenchVerbStats& v : result.per_op) {
@@ -169,9 +176,9 @@ std::string run_report(int num_threads) {
 }
 
 TEST(ServeBench, DeterministicSubtreeIsByteStableAcrossRunsAndThreads) {
-  const std::string first = run_report(1);
-  const std::string again = run_report(1);
-  const std::string threaded = run_report(2);
+  const std::string first = run_report(1, 0.0);
+  const std::string again = run_report(1, 0.0);
+  const std::string threaded = run_report(2, 0.0);
 
   // Reports are single JSON documents; compare the deterministic subtree
   // byte-for-byte after collapsing to one line (get_raw needs one line).
@@ -216,6 +223,53 @@ TEST(ServeBench, DeterministicSubtreeIsByteStableAcrossRunsAndThreads) {
   EXPECT_TRUE(flatjson::get_raw(server_raw, "latency", &raw));
   EXPECT_NE(raw.find("\"queue\""), std::string::npos);
   EXPECT_NE(raw.find("\"serialize\""), std::string::npos);
+
+  // The open loop (request i due at i/rate) issues the same requests, so
+  // its deterministic subtree is byte-stable too; only the echoed rate
+  // differs from the closed loop's.
+  const std::string open = deterministic(run_report(1, 2000.0));
+  EXPECT_NE(open, base);
+  EXPECT_EQ(deterministic(run_report(1, 2000.0)), open);
+  EXPECT_EQ(deterministic(run_report(2, 2000.0)), open);
+}
+
+TEST(ServeBench, ServerThatHangsUpCostsEveryRequestATransportError) {
+  // A loopback listener that accepts each connection and closes it at once.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 16), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread hang_up([listener] {
+    for (int fd; (fd = ::accept(listener, nullptr, nullptr)) >= 0;)
+      ::close(fd);
+  });
+
+  const auto check = [&](double rate) {
+    WorkloadSpec wl = parse_workload_string(kTestWorkload);
+    wl.rate = rate;
+    const BenchResult r = run_bench(wl, 200.0, "127.0.0.1",
+                                    ntohs(addr.sin_port),
+                                    /*shutdown_after=*/false);
+    std::uint64_t scheduled = 0;
+    for (const BenchVerbStats& v : r.per_op) scheduled += v.scheduled;
+    // Every scheduled request, plus the control epilogue's drain and stats.
+    EXPECT_EQ(r.transport_errors, scheduled + 2) << "rate " << rate;
+    EXPECT_EQ(r.received, 0u) << "rate " << rate;
+    EXPECT_TRUE(r.final_stats.empty()) << "rate " << rate;
+  };
+  // A throw must not skip the join below.
+  EXPECT_NO_THROW(check(0.0));
+  EXPECT_NO_THROW(check(2000.0));
+  ::shutdown(listener, SHUT_RDWR);  // wakes the blocked accept
+  hang_up.join();
+  ::close(listener);
 }
 
 }  // namespace
